@@ -9,73 +9,88 @@
 //!
 //! lsd's adaptation is AIMD-flavored: probe quickly while the routing
 //! table is in flux, back off exponentially once entries stop changing.
-//! That is exactly what `ChordConfig::fix_fingers_dynamic` implements on
-//! the shared Chord core, which keeps the Fig 10 comparison about the
-//! *policy* rather than incidental implementation differences — the
-//! paper's own methodological argument.
+//! chord.mac carries that policy behind two constants whose defaults keep
+//! the period static, so every Figure 10 flavour interprets the *same*
+//! spec ([`crate::spec_with`]) and differs only in [`LSD_CONSTANTS`]
+//! versus a static `FIX_FINGERS_MS` — which keeps the comparison about the *policy*
+//! rather than incidental implementation differences, the paper's own
+//! methodological argument.
 
-use macedon_core::{Duration, NodeId};
-use macedon_overlays::chord::ChordConfig;
-
-/// Default adaptation bounds: lsd probed between about half a second and
-/// half a minute depending on stability.
-pub const LSD_MIN_PERIOD: Duration = Duration(500_000); // 0.5 s
-pub const LSD_MAX_PERIOD: Duration = Duration(32_000_000); // 32 s
-
-/// Chord configuration emulating `lsd`.
-pub fn lsd_chord_config(bootstrap: Option<NodeId>) -> ChordConfig {
-    ChordConfig {
-        bootstrap,
-        // Starting period in the middle of the adaptive range.
-        fix_fingers_period: Duration::from_secs(4),
-        fix_fingers_dynamic: Some((LSD_MIN_PERIOD, LSD_MAX_PERIOD)),
-        ..Default::default()
-    }
-}
+/// lsd's fix-fingers policy as chord.mac constant overrides: start at
+/// 4 s and adapt between about half a second and half a minute,
+/// depending on stability.
+pub const LSD_CONSTANTS: [(&str, i64); 3] = [
+    ("FIX_FINGERS_MS", 4_000),
+    ("FIX_FINGERS_MIN_MS", 500),
+    ("FIX_FINGERS_MAX_MS", 32_000),
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use macedon_core::app::CollectorApp;
-    use macedon_core::{app, Time, World, WorldConfig};
-    use macedon_overlays::chord::Chord;
-    use macedon_overlays::testutil::{collect_ring, star_topology};
+    use crate::spec_with;
+    use macedon_core::app::{shared_deliveries, CollectorApp};
+    use macedon_core::{Time, World, WorldConfig};
+    use macedon_lang::interp::{channel_table, InterpretedAgent};
+    use macedon_lang::Spec;
+    use macedon_overlays::testutil::{
+        collect_ring, correct_fingers, ring_successor, star_topology,
+    };
+    use std::sync::Arc;
 
-    #[test]
-    fn lsd_ring_converges() {
-        let topo = star_topology(12);
+    /// An interpreted chord ring of `n` nodes on `spec`, joins staggered
+    /// 100 ms apart through the first host, run to `secs`.
+    fn ring(
+        spec: &Arc<Spec>,
+        n: usize,
+        seed: u64,
+        secs: u64,
+    ) -> (World, Vec<macedon_core::NodeId>) {
+        let topo = star_topology(n);
         let hosts = topo.hosts().to_vec();
         let mut w = World::new(
             topo,
             WorldConfig {
-                seed: 3,
+                seed,
+                channels: channel_table(spec),
                 ..Default::default()
             },
         );
-        let sink = app::shared_deliveries();
+        let sink = shared_deliveries();
         for (i, &h) in hosts.iter().enumerate() {
-            let cfg = lsd_chord_config((i > 0).then(|| hosts[0]));
             w.spawn_at(
                 Time::from_millis(i as u64 * 100),
                 h,
-                vec![Box::new(Chord::new(cfg))],
+                vec![Box::new(InterpretedAgent::new(
+                    spec.clone(),
+                    (i > 0).then(|| hosts[0]),
+                ))],
                 Box::new(CollectorApp::new(sink.clone())),
             );
         }
-        w.run_until(Time::from_secs(90));
+        w.run_until(Time::from_secs(secs));
+        (w, hosts)
+    }
+
+    fn chord(w: &World, h: macedon_core::NodeId) -> &InterpretedAgent {
+        w.stack(h)
+            .unwrap()
+            .agent(0)
+            .as_any()
+            .downcast_ref()
+            .unwrap()
+    }
+
+    #[test]
+    fn lsd_ring_converges() {
+        let (w, hosts) = ring(&Arc::new(spec_with("chord", &LSD_CONSTANTS)), 12, 3, 90);
         let ring = collect_ring(&w, &hosts);
         for (i, &(node, _)) in ring.iter().enumerate() {
-            let c: &Chord = w
-                .stack(node)
-                .unwrap()
-                .agent(0)
-                .as_any()
-                .downcast_ref()
-                .unwrap();
-            assert!(c.is_joined());
+            let c = chord(&w, node);
+            assert_eq!(c.state(), "joined");
             assert_eq!(
-                c.successor().unwrap().0,
-                ring[(i + 1) % ring.len()].0,
+                ring_successor(&w, node, c.list("succs").unwrap()),
+                Some(ring[(i + 1) % ring.len()].0),
                 "ring at {i}"
             );
         }
@@ -85,65 +100,18 @@ mod tests {
     /// than lsd-dynamic early in the run.
     #[test]
     fn static_1s_beats_lsd_early() {
-        let count_correct = |dynamic: bool| -> usize {
-            let topo = star_topology(16);
-            let hosts = topo.hosts().to_vec();
-            let mut w = World::new(
-                topo,
-                WorldConfig {
-                    seed: 11,
-                    ..Default::default()
-                },
-            );
-            let sink = app::shared_deliveries();
-            for (i, &h) in hosts.iter().enumerate() {
-                let cfg = if dynamic {
-                    lsd_chord_config((i > 0).then(|| hosts[0]))
-                } else {
-                    ChordConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        fix_fingers_period: Duration::from_secs(1),
-                        ..Default::default()
-                    }
-                };
-                w.spawn_at(
-                    Time::from_millis(i as u64 * 100),
-                    h,
-                    vec![Box::new(Chord::new(cfg))],
-                    Box::new(CollectorApp::new(sink.clone())),
-                );
-            }
-            w.run_until(Time::from_secs(30));
+        let count_correct = |spec: Arc<Spec>| -> usize {
+            let (w, hosts) = ring(&spec, 16, 11, 30);
             let ring = collect_ring(&w, &hosts);
-            let correct_owner = |k: macedon_core::MacedonKey| {
-                ring.iter()
-                    .copied()
-                    .min_by_key(|&(_, rk)| k.distance_to(rk))
-                    .unwrap()
-                    .0
-            };
-            let mut good = 0;
-            for &h in &hosts {
-                let c: &Chord = w
-                    .stack(h)
-                    .unwrap()
-                    .agent(0)
-                    .as_any()
-                    .downcast_ref()
-                    .unwrap();
-                let me = w.key_of(h);
-                for (i, f) in c.fingers().iter().enumerate() {
-                    if let Some((n, _)) = f {
-                        if *n == correct_owner(me.plus_pow2(i as u32)) {
-                            good += 1;
-                        }
-                    }
-                }
-            }
-            good
+            hosts
+                .iter()
+                .map(|&h| {
+                    correct_fingers(&ring, w.key_of(h), chord(&w, h).list("fingers").unwrap())
+                })
+                .sum()
         };
-        let static_1s = count_correct(false);
-        let lsd = count_correct(true);
+        let static_1s = count_correct(Arc::new(spec_with("chord", &[("FIX_FINGERS_MS", 1_000)])));
+        let lsd = count_correct(Arc::new(spec_with("chord", &LSD_CONSTANTS)));
         assert!(
             static_1s > lsd,
             "static 1s ({static_1s}) should beat lsd-dynamic ({lsd}) at t=30s"

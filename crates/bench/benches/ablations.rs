@@ -1,4 +1,4 @@
-//! Ablation benches for the design choices DESIGN.md §5 calls out:
+//! Ablation benches for the paper's design choices:
 //!
 //! 1. static vs dynamic fix-fingers period (Fig 10's own question),
 //! 2. one shared transport vs multiple priority transports (§3.1),
@@ -11,21 +11,27 @@
 //! ablation's effect is visible in the bench log.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use macedon_baselines::{spec_with, LSD_CONSTANTS};
 use macedon_core::app::{shared_deliveries, CollectorApp};
 use macedon_core::Bytes;
 use macedon_core::{DownCall, Duration, MacedonKey, NodeId, Time, World, WorldConfig};
-use macedon_overlays::chord::{Chord, ChordConfig};
-use macedon_overlays::overcast::{Overcast, OvercastConfig};
-use macedon_overlays::testutil::{collect_ring, star_topology};
+use macedon_generated::chord::Chord;
+use macedon_lang::interp::{channel_table, InterpretedAgent};
+use macedon_overlays::pastry::{Pastry, PastryConfig};
+use macedon_overlays::testutil::{collect_ring, correct_fingers, ring_successor, star_topology};
+use std::sync::Arc;
 
 /// 1. Chord fix-fingers timer ablation: correct entries at t=40 s.
 fn ablation_chord_timer(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/chord-fix-fingers");
-    for (label, period_s, dynamic) in [
-        ("static-1s", 1u64, false),
-        ("static-20s", 20, false),
-        ("lsd-dynamic", 4, true),
+    let static_1s: &[(&str, i64)] = &[("FIX_FINGERS_MS", 1_000)];
+    let static_20s: &[(&str, i64)] = &[("FIX_FINGERS_MS", 20_000)];
+    for (label, overrides) in [
+        ("static-1s", static_1s),
+        ("static-20s", static_20s),
+        ("lsd-dynamic", &LSD_CONSTANTS[..]),
     ] {
+        let spec = Arc::new(spec_with("chord", overrides));
         group.bench_function(label, |b| {
             b.iter(|| {
                 let topo = star_topology(12);
@@ -34,51 +40,37 @@ fn ablation_chord_timer(c: &mut Criterion) {
                     topo,
                     WorldConfig {
                         seed: 5,
+                        channels: channel_table(&spec),
                         ..Default::default()
                     },
                 );
                 let sink = shared_deliveries();
                 for (i, &h) in hosts.iter().enumerate() {
-                    let cfg = ChordConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        fix_fingers_period: Duration::from_secs(period_s),
-                        fix_fingers_dynamic: dynamic
-                            .then(|| (Duration::from_millis(500), Duration::from_secs(32))),
-                        ..Default::default()
-                    };
                     w.spawn_at(
                         Time::from_millis(i as u64 * 100),
                         h,
-                        vec![Box::new(Chord::new(cfg))],
+                        vec![Box::new(InterpretedAgent::new(
+                            spec.clone(),
+                            (i > 0).then(|| hosts[0]),
+                        ))],
                         Box::new(CollectorApp::new(sink.clone())),
                     );
                 }
                 w.run_until(Time::from_secs(40));
                 let ring = collect_ring(&w, &hosts);
-                let owner = |k: MacedonKey| {
-                    ring.iter()
-                        .copied()
-                        .min_by_key(|&(_, rk)| k.distance_to(rk))
-                        .unwrap()
-                        .0
-                };
-                let mut good = 0usize;
-                for &h in &hosts {
-                    let ch: &Chord = w
-                        .stack(h)
-                        .unwrap()
-                        .agent(0)
-                        .as_any()
-                        .downcast_ref()
-                        .unwrap();
-                    let me = w.key_of(h);
-                    for (i, f) in ch.fingers().iter().enumerate() {
-                        if matches!(f, Some((n, _)) if *n == owner(me.plus_pow2(i as u32))) {
-                            good += 1;
-                        }
-                    }
-                }
-                good
+                hosts
+                    .iter()
+                    .map(|&h| {
+                        let ch: &InterpretedAgent = w
+                            .stack(h)
+                            .unwrap()
+                            .agent(0)
+                            .as_any()
+                            .downcast_ref()
+                            .unwrap();
+                        correct_fingers(&ring, w.key_of(h), ch.list("fingers").unwrap())
+                    })
+                    .sum::<usize>()
             })
         });
     }
@@ -90,6 +82,16 @@ fn ablation_chord_timer(c: &mut Criterion) {
 fn ablation_transport_classes(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation/transport-classes");
     for (label, shared) in [("separate-priorities", false), ("single-shared-tcp", true)] {
+        let mut spec = spec_with("overcast", &[]);
+        if shared {
+            // Control (HIGHEST) rides the same TCP channel as bulk data.
+            for m in &mut spec.messages {
+                if m.transport.as_deref() == Some("HIGHEST") {
+                    m.transport = Some("HIGH".into());
+                }
+            }
+        }
+        let spec = Arc::new(spec);
         group.bench_function(label, |b| {
             b.iter(|| {
                 let topo = star_topology(8);
@@ -98,23 +100,19 @@ fn ablation_transport_classes(c: &mut Criterion) {
                     topo,
                     WorldConfig {
                         seed: 6,
+                        channels: channel_table(&spec),
                         ..Default::default()
                     },
                 );
                 let sink = shared_deliveries();
                 for (i, &h) in hosts.iter().enumerate() {
-                    let mut cfg = OvercastConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        ..Default::default()
-                    };
-                    if shared {
-                        // Control rides the same TCP channel as bulk data.
-                        cfg.control_ch = cfg.data_ch;
-                    }
                     w.spawn_at(
                         Time::from_millis(i as u64 * 100),
                         h,
-                        vec![Box::new(Overcast::new(cfg))],
+                        vec![Box::new(InterpretedAgent::new(
+                            spec.clone(),
+                            (i > 0).then(|| hosts[0]),
+                        ))],
                         Box::new(CollectorApp::new(sink.clone())),
                     );
                 }
@@ -131,20 +129,21 @@ fn ablation_transport_classes(c: &mut Criterion) {
                     );
                 }
                 w.run_until(Time::from_secs(30));
-                let joined = hosts
+                // The root plus every node holding a parent.
+                let joined = hosts[1..]
                     .iter()
                     .filter(|&&h| {
-                        let o: &Overcast = w
+                        let o: &InterpretedAgent = w
                             .stack(h)
                             .unwrap()
                             .agent(0)
                             .as_any()
                             .downcast_ref()
                             .unwrap();
-                        o.parent().is_some() || o.is_root()
+                        !o.list("papa").unwrap().is_empty()
                     })
                     .count();
-                joined
+                joined + 1
             })
         });
     }
@@ -152,7 +151,8 @@ fn ablation_transport_classes(c: &mut Criterion) {
 }
 
 /// 3. Locking classification: measure the read-share the data/control
-///    split exposes on a routing-heavy workload.
+///    split exposes on a routing-heavy workload (Pastry marks its
+///    leaf-set exchange read-only).
 fn ablation_locking_classes(c: &mut Criterion) {
     c.bench_function("ablation/locking read-share", |b| {
         b.iter(|| {
@@ -167,14 +167,14 @@ fn ablation_locking_classes(c: &mut Criterion) {
             );
             let sink = shared_deliveries();
             for (i, &h) in hosts.iter().enumerate() {
-                let cfg = ChordConfig {
+                let cfg = PastryConfig {
                     bootstrap: (i > 0).then(|| hosts[0]),
                     ..Default::default()
                 };
                 w.spawn_at(
                     Time::from_millis(i as u64 * 100),
                     h,
-                    vec![Box::new(Chord::new(cfg))],
+                    vec![Box::new(Pastry::new(cfg))],
                     Box::new(CollectorApp::new(sink.clone())),
                 );
             }
@@ -205,17 +205,14 @@ fn ablation_fd_thresholds(c: &mut Criterion) {
                 };
                 cfg.fd_g = Duration::from_secs(g_s);
                 cfg.fd_f = Duration::from_secs(f_s);
+                cfg.channels = macedon_generated::channel_table("chord").unwrap();
                 let mut w = World::new(topo, cfg);
                 let sink = shared_deliveries();
                 for (i, &h) in hosts.iter().enumerate() {
-                    let ccfg = ChordConfig {
-                        bootstrap: (i > 0).then(|| hosts[0]),
-                        ..Default::default()
-                    };
                     w.spawn_at(
                         Time::from_millis(i as u64 * 100),
                         h,
-                        vec![Box::new(Chord::new(ccfg))],
+                        vec![Box::new(Chord::new((i > 0).then(|| hosts[0])))],
                         Box::new(CollectorApp::new(sink.clone())),
                     );
                 }
@@ -234,7 +231,8 @@ fn ablation_fd_thresholds(c: &mut Criterion) {
                         .as_any()
                         .downcast_ref()
                         .unwrap();
-                    ch.successor().map(|(n, _)| n) == Some(ring[(i + 1) % ring.len()].0)
+                    ring_successor(&w, node, ch.neighbor_list("succs").unwrap())
+                        == Some(ring[(i + 1) % ring.len()].0)
                 });
                 assert!(healed, "{label}: ring healed");
             })

@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use macedon_core::app::{shared_deliveries, CollectorApp};
 use macedon_core::{Bytes, DownCall, Duration, MacedonKey, Time, World, WorldConfig};
-use macedon_overlays::chord::{Chord, ChordConfig};
+use macedon_generated::chord::Chord;
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::testutil::star_topology;
 
@@ -17,19 +17,16 @@ fn bench_chord_convergence(c: &mut Criterion) {
                 topo,
                 WorldConfig {
                     seed: 1,
+                    channels: macedon_generated::channel_table("chord").unwrap(),
                     ..Default::default()
                 },
             );
             let sink = shared_deliveries();
             for (i, &h) in hosts.iter().enumerate() {
-                let cfg = ChordConfig {
-                    bootstrap: (i > 0).then(|| hosts[0]),
-                    ..Default::default()
-                };
                 w.spawn_at(
                     Time::from_millis(i as u64 * 100),
                     h,
-                    vec![Box::new(Chord::new(cfg))],
+                    vec![Box::new(Chord::new((i > 0).then(|| hosts[0])))],
                     Box::new(CollectorApp::new(sink.clone())),
                 );
             }

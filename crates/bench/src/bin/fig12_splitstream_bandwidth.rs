@@ -86,7 +86,7 @@ fn main() {
             &cells,
         );
         println!(
-            "\nFrom-spec run mean: {:.0} Kbps (flooding dissemination; see scribe.mac)",
+            "\nFrom-spec run mean: {:.0} Kbps (reverse-path Scribe trees; see scribe.mac)",
             avg(&obs.series)
         );
         if let (Some(path), Some(json)) = (&trace_out, &obs.perfetto) {

@@ -4,20 +4,22 @@
 //! rows/series to print; EXPERIMENTS.md records paper-vs-measured.
 
 use crate::Scale;
-use macedon_baselines::{lsd_chord_config, FreePastry, RmiModel};
+use macedon_baselines::{spec_with, FreePastry, RmiModel, LSD_CONSTANTS};
 use macedon_core::app::{shared_deliveries, CollectorApp, StreamKind, StreamerApp};
 use macedon_core::{
     Agent, Bytes, DownCall, Duration, MacedonKey, NodeId, TelemetryReport, Time, TraceLevel, World,
     WorldConfig,
 };
+use macedon_lang::interp::{channel_table, InterpretedAgent};
+use macedon_lang::IrSpec;
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
-use macedon_overlays::chord::{Chord, ChordConfig};
 use macedon_overlays::nice::{Nice, NiceConfig};
 use macedon_overlays::pastry::{Pastry, PastryConfig};
 use macedon_overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon_overlays::splitstream::{SplitStream, SplitStreamConfig};
-use macedon_overlays::testutil::collect_ring;
+use macedon_overlays::testutil::{collect_ring, correct_fingers};
 use macedon_sim::SimRng;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Figure 7 — specification lines of code
@@ -216,18 +218,19 @@ pub struct Fig10Series {
     pub macedon_20s: Vec<(f64, f64)>,
 }
 
-#[derive(Clone, Copy)]
-enum ChordFlavor {
-    Static(u64),
-    Lsd,
-}
+/// Every flavour interprets chord.mac; they differ only in constants.
+const FIG10_FLAVORS: [&[(&str, i64)]; 3] = [
+    &[("FIX_FINGERS_MS", 1_000)],
+    &LSD_CONSTANTS,
+    &[("FIX_FINGERS_MS", 20_000)],
+];
 
 pub fn fig10(scale: Scale) -> Fig10Series {
     let (routers, clients, run_s) = match scale {
         Scale::Quick => (200, 48, 120),
         Scale::Paper => (20_000, 1_000, 120),
     };
-    let run = |flavor: ChordFlavor| -> Vec<(f64, f64)> {
+    let run = |overrides: &[(&str, i64)]| -> Vec<(f64, f64)> {
         let mut rng = SimRng::new(10);
         let topo = inet(
             &InetParams {
@@ -238,10 +241,13 @@ pub fn fig10(scale: Scale) -> Fig10Series {
             &mut rng,
         );
         let hosts = topo.hosts().to_vec();
+        let spec = spec_with("chord", overrides);
+        let ir = Arc::new(IrSpec::lower(&spec).expect("chord.mac lowers"));
         let mut w = World::new(
             topo,
             WorldConfig {
                 seed: 10,
+                channels: channel_table(&spec),
                 ..Default::default()
             },
         );
@@ -250,65 +256,40 @@ pub fn fig10(scale: Scale) -> Fig10Series {
         // paper ("routing tables converge steadily as nodes join").
         let join_window_ms = (run_s * 1000) / 3;
         for (i, &h) in hosts.iter().enumerate() {
-            let cfg = match flavor {
-                ChordFlavor::Static(secs) => ChordConfig {
-                    bootstrap: (i > 0).then(|| hosts[0]),
-                    fix_fingers_period: Duration::from_secs(secs),
-                    ..Default::default()
-                },
-                ChordFlavor::Lsd => lsd_chord_config((i > 0).then(|| hosts[0])),
-            };
             let at = Time::from_millis(i as u64 * join_window_ms / hosts.len() as u64);
             w.spawn_at(
                 at,
                 h,
-                vec![Box::new(Chord::new(cfg))],
+                vec![Box::new(InterpretedAgent::from_ir(
+                    ir.clone(),
+                    (i > 0).then(|| hosts[0]),
+                ))],
                 Box::new(CollectorApp::new(sink.clone())),
             );
         }
         let ring = collect_ring(&w, &hosts);
-        let correct_owner = |k: MacedonKey| {
-            ring.iter()
-                .copied()
-                .min_by_key(|&(_, rk)| k.distance_to(rk))
-                .unwrap()
-                .0
-        };
         // Dump "routing tables every two seconds" and count correct
-        // entries against global knowledge.
+        // entries against global knowledge. The spec keeps a finger
+        // *set*: entry i is correct when the owner of me + 2^i is in it.
         let mut series = Vec::new();
         let mut t = 0u64;
         while t <= run_s {
             w.run_until(Time::from_secs(t));
-            let mut total = 0usize;
-            let mut alive = 0usize;
-            for &h in &hosts {
-                if !w.is_alive(h) {
-                    continue;
-                }
-                alive += 1;
-                let c: &Chord = w
-                    .stack(h)
-                    .unwrap()
-                    .agent(0)
-                    .as_any()
-                    .downcast_ref()
-                    .unwrap();
-                let me = w.key_of(h);
-                for (i, f) in c.fingers().iter().enumerate() {
-                    if let Some((n, _)) = f {
-                        if *n == correct_owner(me.plus_pow2(i as u32)) {
-                            total += 1;
-                        }
-                    }
-                }
-            }
-            let avg = if alive == 0 {
-                0.0
-            } else {
-                total as f64 / hosts.len() as f64
-            };
-            series.push((t as f64, avg));
+            let total: usize = hosts
+                .iter()
+                .filter(|&&h| w.is_alive(h))
+                .map(|&h| {
+                    let c: &InterpretedAgent = w
+                        .stack(h)
+                        .unwrap()
+                        .agent(0)
+                        .as_any()
+                        .downcast_ref()
+                        .unwrap();
+                    correct_fingers(&ring, w.key_of(h), c.list("fingers").unwrap())
+                })
+                .sum();
+            series.push((t as f64, total as f64 / hosts.len() as f64));
             t += 2;
         }
         series
@@ -316,18 +297,14 @@ pub fn fig10(scale: Scale) -> Fig10Series {
     // The three flavors are independent worlds: sweep them in parallel
     // (the harness equivalent of the paper farming runs across machines).
     let mut out: Vec<(usize, Vec<(f64, f64)>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = [
-            ChordFlavor::Static(1),
-            ChordFlavor::Lsd,
-            ChordFlavor::Static(20),
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, flavor)| {
-            let run = &run;
-            scope.spawn(move || (i, run(flavor)))
-        })
-        .collect();
+        let handles: Vec<_> = FIG10_FLAVORS
+            .into_iter()
+            .enumerate()
+            .map(|(i, overrides)| {
+                let run = &run;
+                scope.spawn(move || (i, run(overrides)))
+            })
+            .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("flavor run"))
@@ -578,12 +555,13 @@ fn bin_goodput(
 
 /// Figure 12, from-spec mode: the same streaming scenario over the
 /// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
-/// stack — the whole paper roster running from specifications. The
-/// interpreted Scribe disseminates by duplicate-suppressed flooding
-/// rather than a rooted tree (see `scribe.mac`), so absolute goodput is
-/// not comparable to the native series; what the mode demonstrates is
-/// the paper's spec → running-overlay → measurement loop with zero
-/// native protocol code.
+/// stack — the whole paper roster running from specifications.
+/// `scribe.mac` builds a reverse-path tree rooted at each group's
+/// rendezvous node, like the native Scribe, but the spec stack has no
+/// Pastry location cache and no SplitStream stripe balancing, so its
+/// goodput is not directly comparable to the native series; what the
+/// mode demonstrates is the paper's spec → running-overlay →
+/// measurement loop with zero native protocol code.
 ///
 /// The experiment itself is a scenario: a `ScenarioBuilder` declaration
 /// (staggered joins + one multicast stream) compiled by the scenario

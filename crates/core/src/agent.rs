@@ -4,9 +4,10 @@
 //! In the paper, `macedon` translates a `.mac` specification into a C++
 //! *agent* class whose methods are the protocol's transitions; the engine
 //! (thread pools, timer and transport subsystems) invokes them. Here the
-//! same contract is a Rust trait: native overlay implementations in
-//! `macedon-overlays` and the DSL interpreter in `macedon-lang` both
-//! implement it.
+//! same contract is a Rust trait: the agents `macedon_lang::codegen`
+//! generates from the specs (`macedon-generated`), the DSL interpreter
+//! in `macedon-lang`, and the hand-written agents still in
+//! `macedon-overlays` all implement it.
 //!
 //! Transitions never call other layers directly (that would be reentrant);
 //! instead they buffer [`Op`]s on the [`Ctx`], and the stack dispatcher

@@ -29,9 +29,8 @@
 //! barrier without ever rewinding a peer's clock. Departures accumulate
 //! in per-shard outboxes and are injected at the next window start in
 //! `(sent_at, source shard, sequence)` order — a total order independent
-//! of thread scheduling, which is what makes
-//! `run_parallel(n)` ≡ `run_parallel(m)` bit-for-bit for any worker
-//! counts `n, m`.
+//! of thread scheduling, which is what makes a run identical
+//! bit-for-bit for any [`World::set_workers`] count.
 //!
 //! Scripted faults (crash/spawn) mutate *every* shard's fault replica,
 //! so they are registered in a control-time registry and windows are
@@ -83,8 +82,8 @@ pub struct WorldConfig {
     pub net: NetworkConfig,
     /// Number of shards the world is partitioned into (clamped to the
     /// host count). `1` is the classic sequential engine; `> 1` enables
-    /// windowed execution, which [`World::run_parallel_until`] can then
-    /// drive with any number of worker threads without changing the
+    /// windowed execution, which [`World::run_until`] drives on any
+    /// number of [`World::set_workers`] threads without changing the
     /// result.
     pub shards: usize,
     /// Collect wall-clock self-profiling counters per shard worker
@@ -1342,19 +1341,6 @@ impl World {
         }
     }
 
-    /// Windowed run to `deadline` on `workers` threads. On a world with
-    /// one shard this is plain sequential execution; with `P` shards the
-    /// result is bit-for-bit identical for every `workers` value
-    /// (threads only decide which core executes a shard, never the
-    /// merge order).
-    pub fn run_parallel_until(&mut self, deadline: Time, workers: usize) {
-        if self.shards.len() == 1 {
-            self.run_until(deadline);
-        } else {
-            self.run_windows(Some(deadline), workers);
-        }
-    }
-
     fn run_windows(&mut self, deadline: Option<Time>, workers: usize) {
         let p = self.shards.len();
         let la = self.shards[0]
@@ -1871,11 +1857,12 @@ mod tests {
     fn worker_count_never_changes_results() {
         let n = 12;
         let mut one = ring_ping_world(n, 4);
-        one.run_parallel_until(Time::from_secs(5), 1);
+        one.run_until(Time::from_secs(5));
         let want = fingerprint(&one, n);
         for workers in [2, 3, 4, 8] {
             let mut many = ring_ping_world(n, 4);
-            many.run_parallel_until(Time::from_secs(5), workers);
+            many.set_workers(workers);
+            many.run_until(Time::from_secs(5));
             assert_eq!(fingerprint(&many, n), want, "{workers}-worker run diverged");
         }
     }

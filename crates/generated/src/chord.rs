@@ -52,6 +52,8 @@ const RETRY_MS: i64 = 5000;
 const NFINGERS: i64 = 32;
 const NSUCC: i64 = 4;
 const FINGER_MAX: i64 = 2147483648;
+const FIX_FINGERS_MIN_MS: i64 = 0;
+const FIX_FINGERS_MAX_MS: i64 = 0;
 
 /// FSM states of `chord` (`init` is implicit).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,11 +171,13 @@ pub struct Chord {
     pred: Vec<NodeId>,
     fingers: Vec<NodeId>,
     finger_step: i64,
+    ff_period: i64,
     lookups: i64,
     finger_target: MacedonKey,
     cand: Option<NodeId>,
     pfirst: Option<NodeId>,
     worst: Option<NodeId>,
+    pinged: Option<NodeId>,
 }
 
 impl Chord {
@@ -189,11 +193,13 @@ impl Chord {
             pred: Vec::new(),
             fingers: Vec::new(),
             finger_step: 0,
+            ff_period: 0,
             lookups: 0,
             finger_target: MacedonKey(0),
             cand: None,
             pfirst: None,
             worst: None,
+            pinged: None,
         }
     }
 
@@ -221,11 +227,12 @@ impl Chord {
             self.transitions_fired += 1;
             self.lookups = (0i64);
             self.finger_step = (1i64);
+            self.ff_period = FIX_FINGERS_MS;
             if (self.bootstrap).is_none() {
                 ctx.trace_fsm(self.state_name(), "joined");
                 self.state = ChordState::Joined;
                 ctx.timer_set(TIMER_STABILIZE, Duration::from_millis((STABILIZE_MS).max(0) as u64));
-                ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
+                ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((self.ff_period).max(0) as u64));
                 ctx.timer_set(TIMER_CHECK_PRED, Duration::from_millis((CHECK_PRED_MS).max(0) as u64));
             } else {
                 {
@@ -488,7 +495,7 @@ impl Chord {
             ctx.trace_fsm(self.state_name(), "joined");
             self.state = ChordState::Joined;
             ctx.timer_set(TIMER_STABILIZE, Duration::from_millis((STABILIZE_MS).max(0) as u64));
-            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
+            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((self.ff_period).max(0) as u64));
             ctx.timer_set(TIMER_CHECK_PRED, Duration::from_millis((CHECK_PRED_MS).max(0) as u64));
             {
                 let __dest = m.succ;
@@ -505,13 +512,36 @@ impl Chord {
         }
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
-            if (!(m.succ == Some(ctx.me))) {
-                if let Some(__n) = m.succ {
-                    if !self.fingers.contains(&__n) && self.fingers.len() < 32usize {
-                        self.fingers.push(__n);
-                    }
-                } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
+            if (m.succ == Some(ctx.me)) {
+                return;
             }
+            for fe_f in self.fingers.clone() {
+                if (!(Some(fe_f) == m.succ)) {
+                    if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.target), (m.succ).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                        if let Some(__n) = Some(fe_f) {
+                            self.fingers.retain(|&__x| __x != __n);
+                        } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
+                    }
+                }
+            }
+            if (FIX_FINGERS_MIN_MS > (0i64)) {
+                if (m.succ).map_or(false, |__q| self.fingers.contains(&__q)) {
+                    self.ff_period = (self.ff_period * (2i64));
+                    if (self.ff_period > FIX_FINGERS_MAX_MS) {
+                        self.ff_period = FIX_FINGERS_MAX_MS;
+                    }
+                } else {
+                    self.ff_period = (self.ff_period / (2i64));
+                    if (self.ff_period < FIX_FINGERS_MIN_MS) {
+                        self.ff_period = FIX_FINGERS_MIN_MS;
+                    }
+                }
+            }
+            if let Some(__n) = m.succ {
+                if !self.fingers.contains(&__n) && self.fingers.len() < 32usize {
+                    self.fingers.push(__n);
+                }
+            } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
             return;
         }
     }
@@ -701,6 +731,9 @@ impl Chord {
 
     fn t_recv_pong(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgPong) {
         self.transitions_fired += 1;
+        if (Some(from) == self.pinged) {
+            self.pinged = None::<NodeId>;
+        }
     }
 
     fn t_recv_route_data(&mut self, ctx: &mut Ctx, from: NodeId, m: &MsgRouteData) {
@@ -842,7 +875,7 @@ impl Chord {
                     }
                 }
             }
-            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((FIX_FINGERS_MS).max(0) as u64));
+            ctx.timer_set(TIMER_FIX_FINGERS, Duration::from_millis((self.ff_period).max(0) as u64));
             return;
         }
     }
@@ -850,7 +883,17 @@ impl Chord {
     fn t_timer_check_pred(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
+            if (!(self.pinged).is_none()) {
+                if (self.pinged).map_or(false, |__q| self.pred.contains(&__q)) {
+                    if let Some(__n) = self.pinged {
+                        self.pred.retain(|&__x| __x != __n);
+                        ctx.unmonitor(__n);
+                    } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
+                }
+            }
+            self.pinged = None::<NodeId>;
             for fe_p in self.pred.clone() {
+                self.pinged = Some(fe_p);
                 {
                     let __dest = Some(fe_p);
                     let mut __w = WireWriter::new();

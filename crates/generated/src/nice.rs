@@ -271,61 +271,65 @@ impl Nice {
         if !((self.state == NiceState::Init || self.state == NiceState::ProbingLayer)) {
             self.transitions_fired += 1;
             for fe_p in self.peers.clone() {
-                {
-                    let __dest = Some(fe_p);
-                    let __a0 = ctx.my_key;
-                    let __a1 = payload.clone();
-                    let mut __w = WireWriter::new();
-                    __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
-                    __w.key(__a0);
-                    __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
+                if (!(Some(fe_p) == Some(ctx.me))) {
+                    {
+                        let __dest = Some(fe_p);
+                        let __a0 = ctx.my_key;
+                        let __a1 = payload.clone();
+                        let mut __w = WireWriter::new();
+                        __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
+                        __w.key(__a0);
+                        __w.bytes(&__a1);
+                        let __bytes = __w.finish();
+                        if let Some(__d) = __dest {
+                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
+                            match __tunneled {
+                                Some(__p) if !ctx.is_top_layer() => {
+                                    let __dest_key = __a0;
+                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
+                                    ctx.forward_query(ForwardInfo {
+                                        src: ctx.my_key,
+                                        dest: __dest_key,
+                                        prev_hop: ctx.me,
+                                        next_hop: __d,
+                                        payload: __p,
+                                        quash: false,
+                                    });
+                                }
+                                _ => ctx.send(__d, ChannelId(1), __bytes),
                             }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
                         }
                     }
                 }
             }
             if (!(self.my_leader).is_none()) {
-                {
-                    let __dest = self.my_leader;
-                    let __a0 = ctx.my_key;
-                    let __a1 = payload.clone();
-                    let mut __w = WireWriter::new();
-                    __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
-                    __w.key(__a0);
-                    __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: ctx.me,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
+                if (!(self.my_leader).map_or(false, |__q| self.peers.contains(&__q))) {
+                    {
+                        let __dest = self.my_leader;
+                        let __a0 = ctx.my_key;
+                        let __a1 = payload.clone();
+                        let mut __w = WireWriter::new();
+                        __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
+                        __w.key(__a0);
+                        __w.bytes(&__a1);
+                        let __bytes = __w.finish();
+                        if let Some(__d) = __dest {
+                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
+                            match __tunneled {
+                                Some(__p) if !ctx.is_top_layer() => {
+                                    let __dest_key = __a0;
+                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
+                                    ctx.forward_query(ForwardInfo {
+                                        src: ctx.my_key,
+                                        dest: __dest_key,
+                                        prev_hop: ctx.me,
+                                        next_hop: __d,
+                                        payload: __p,
+                                        quash: false,
+                                    });
+                                }
+                                _ => ctx.send(__d, ChannelId(1), __bytes),
                             }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
                         }
                     }
                 }
@@ -589,65 +593,70 @@ impl Nice {
             let __pl = m.body.clone();
             ctx.up(UpCall::Deliver { src: __src, from: from, payload: __pl });
         }
-        for fe_p in self.peers.clone() {
-            if (!(Some(fe_p) == Some(from))) {
-                {
-                    let __dest = Some(fe_p);
-                    let __a0 = m.src;
-                    let __a1 = m.body.clone();
-                    let mut __w = WireWriter::new();
-                    __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
-                    __w.key(__a0);
-                    __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
+        if (Some(from)).map_or(false, |__q| self.uppeers.contains(&__q)) {
+            for fe_p in self.peers.clone() {
+                if ((!(Some(fe_p) == Some(from))) & (!(Some(fe_p) == Some(ctx.me)))) {
+                    {
+                        let __dest = Some(fe_p);
+                        let __a0 = m.src;
+                        let __a1 = m.body.clone();
+                        let mut __w = WireWriter::new();
+                        __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
+                        __w.key(__a0);
+                        __w.bytes(&__a1);
+                        let __bytes = __w.finish();
+                        if let Some(__d) = __dest {
+                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
+                            match __tunneled {
+                                Some(__p) if !ctx.is_top_layer() => {
+                                    let __dest_key = __a0;
+                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
+                                    ctx.forward_query(ForwardInfo {
+                                        src: ctx.my_key,
+                                        dest: __dest_key,
+                                        prev_hop: from,
+                                        next_hop: __d,
+                                        payload: __p,
+                                        quash: false,
+                                    });
+                                }
+                                _ => ctx.send(__d, ChannelId(1), __bytes),
                             }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
                         }
                     }
                 }
             }
+            return;
         }
-        for fe_u in self.uppeers.clone() {
-            if (!(Some(fe_u) == Some(from))) {
-                {
-                    let __dest = Some(fe_u);
-                    let __a0 = m.src;
-                    let __a1 = m.body.clone();
-                    let mut __w = WireWriter::new();
-                    __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
-                    __w.key(__a0);
-                    __w.bytes(&__a1);
-                    let __bytes = __w.finish();
-                    if let Some(__d) = __dest {
-                        let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
-                        match __tunneled {
-                            Some(__p) if !ctx.is_top_layer() => {
-                                let __dest_key = __a0;
-                                self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
-                                ctx.forward_query(ForwardInfo {
-                                    src: ctx.my_key,
-                                    dest: __dest_key,
-                                    prev_hop: from,
-                                    next_hop: __d,
-                                    payload: __p,
-                                    quash: false,
-                                });
+        if ((Some(from) == self.my_leader) | (Some(from)).map_or(false, |__q| self.peers.contains(&__q))) {
+            for fe_u in self.uppeers.clone() {
+                if (!(Some(fe_u) == Some(from))) {
+                    {
+                        let __dest = Some(fe_u);
+                        let __a0 = m.src;
+                        let __a1 = m.body.clone();
+                        let mut __w = WireWriter::new();
+                        __w.u16(PROTOCOL_ID).u16(MSG_MDATA);
+                        __w.key(__a0);
+                        __w.bytes(&__a1);
+                        let __bytes = __w.finish();
+                        if let Some(__d) = __dest {
+                            let __tunneled = if !__a1.is_empty() { Some(__a1.clone()) } else { None };
+                            match __tunneled {
+                                Some(__p) if !ctx.is_top_layer() => {
+                                    let __dest_key = __a0;
+                                    self.pending_fwd.push_back((__d, ChannelId(1), __bytes));
+                                    ctx.forward_query(ForwardInfo {
+                                        src: ctx.my_key,
+                                        dest: __dest_key,
+                                        prev_hop: from,
+                                        next_hop: __d,
+                                        payload: __p,
+                                        quash: false,
+                                    });
+                                }
+                                _ => ctx.send(__d, ChannelId(1), __bytes),
                             }
-                            _ => ctx.send(__d, ChannelId(1), __bytes),
                         }
                     }
                 }

@@ -5,8 +5,10 @@
 //! the engine. This interpreter is the equivalent executable semantics —
 //! the same FSM dispatch (transition = (event, state-scope) → actions),
 //! the same primitives (§3.3), over the same engine — without a compile
-//! step, which lets the test suite cross-validate the bundled specs
-//! against the hand-written agents in `macedon-overlays`.
+//! step. The agents codegen emits from the same specs
+//! (`macedon-generated`) are its reference: the test suite requires
+//! interpreted and generated runs of every bundled spec to match
+//! exactly.
 //!
 //! The interpreter does not walk the AST. [`InterpretedAgent`] executes
 //! the slot-indexed IR of [`crate::ir`]: every variable, neighbor list,

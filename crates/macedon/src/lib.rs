@@ -8,16 +8,18 @@
 //! ```
 //! use macedon::prelude::*;
 //!
-//! // Build a small emulated network and run a Chord ring on it.
+//! // Build a small emulated network and run a Chord ring on it: the
+//! // agent is the one the translator generated from chord.mac.
 //! let topo = macedon::net::topology::canned::star(8, macedon::net::topology::LinkSpec::lan());
 //! let hosts = topo.hosts().to_vec();
-//! let mut world = World::new(topo, WorldConfig::default());
+//! let channels = macedon::generated::channel_table("chord").unwrap();
+//! let mut world = World::new(topo, WorldConfig { channels, ..Default::default() });
 //! for (i, &h) in hosts.iter().enumerate() {
-//!     let cfg = ChordConfig { bootstrap: (i > 0).then(|| hosts[0]), ..Default::default() };
+//!     let bootstrap = (i > 0).then(|| hosts[0]);
 //!     world.spawn_at(
 //!         Time::from_millis(i as u64 * 100),
 //!         h,
-//!         vec![Box::new(Chord::new(cfg))],
+//!         macedon::generated::build_stack("chord", bootstrap).unwrap(),
 //!         Box::new(NullApp),
 //!     );
 //! }
@@ -27,6 +29,7 @@
 
 pub use macedon_baselines as baselines;
 pub use macedon_core as core;
+pub use macedon_generated as generated;
 pub use macedon_lang as lang;
 pub use macedon_net as net;
 pub use macedon_overlays as overlays;
@@ -58,8 +61,7 @@ pub mod prelude {
         WorldConfig,
     };
     pub use macedon_overlays::{
-        Ammo, AmmoConfig, Bullet, BulletConfig, Chord, ChordConfig, Nice, NiceConfig, Overcast,
-        OvercastConfig, Pastry, PastryConfig, RandTree, RandTreeConfig, Scribe, ScribeConfig,
+        Bullet, BulletConfig, Nice, NiceConfig, Pastry, PastryConfig, Scribe, ScribeConfig,
         SplitStream, SplitStreamConfig,
     };
     pub use macedon_scenario::{

@@ -2,8 +2,9 @@
 //!
 //! "Bullet creates a mesh where nodes exchange summary tickets that are
 //! used to select data peers. Nodes with disjoint data peer with one
-//! another" (§5). In this reproduction Bullet sits above [`crate::RandTree`]
-//! (its baseline distribution tree, as in Figure 2): the tree delivers
+//! another" (§5). In this reproduction Bullet sits above RandTree (its
+//! baseline distribution tree, as in Figure 2; the generated
+//! `macedon_generated::randtree::Randtree` agent): the tree delivers
 //! whatever bandwidth it can, while Bullet recovers the remainder through
 //! the mesh — each epoch a node gossips a *summary ticket* (the packet
 //! ids it holds plus a sample of nodes it knows) to a few random peers;
@@ -52,7 +53,7 @@ impl Default for BulletConfig {
     }
 }
 
-/// The Bullet agent (sits above RandTree).
+/// The Bullet agent (sits above a RandTree layer).
 pub struct Bullet {
     cfg: BulletConfig,
     /// Packet id → payload, for serving recovery requests.

@@ -1,36 +1,28 @@
 //! # macedon-overlays
 //!
-//! Native Rust implementations of every overlay the paper implements in
-//! MACEDON (§4.1): **RandTree, Overcast, Chord, Pastry, Scribe,
-//! SplitStream, NICE, Bullet and AMMO** — each as an
-//! [`macedon_core::Agent`], i.e. exactly the artifact the MACEDON code
-//! generator would emit from the corresponding `.mac` specification (the
-//! specs themselves live in `crates/lang/specs/` and drive the Figure 7
-//! line-count experiment; two of them also run under the interpreter for
-//! cross-validation).
+//! Hand-written Rust agents for the protocols whose `.mac` specs cannot
+//! yet carry every caller: **Pastry, Scribe, SplitStream, NICE and
+//! Bullet**, each an [`macedon_core::Agent`]. Every other roster
+//! protocol (Chord, RandTree, Overcast, AMMO) runs only from its spec in
+//! `crates/lang/specs/`, interpreted or as the generated agent in
+//! `macedon-generated`; ARCHITECTURE.md's native agent inventory records
+//! why each remaining agent is still here.
 //!
-//! Layering follows Figure 2: Scribe runs over Pastry *or* Chord (the
+//! Layering follows Figure 2: Scribe runs over Pastry or over any agent
+//! serving the key-routing API (the generated Chord included — the
 //! paper's one-line `uses` switch), SplitStream over Scribe, Bullet over
-//! RandTree.
+//! a tree that delivers multicast upcalls (the generated RandTree).
 
-pub mod ammo;
 pub mod bullet;
-pub mod chord;
 pub mod common;
 pub mod nice;
-pub mod overcast;
 pub mod pastry;
-pub mod randtree;
 pub mod scribe;
 pub mod splitstream;
 pub mod testutil;
 
-pub use ammo::{Ammo, AmmoConfig};
 pub use bullet::{Bullet, BulletConfig};
-pub use chord::{Chord, ChordConfig};
 pub use nice::{Nice, NiceConfig};
-pub use overcast::{Overcast, OvercastConfig};
 pub use pastry::{Pastry, PastryConfig};
-pub use randtree::{RandTree, RandTreeConfig};
 pub use scribe::{Scribe, ScribeConfig};
 pub use splitstream::{SplitStream, SplitStreamConfig};

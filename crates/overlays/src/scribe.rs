@@ -5,8 +5,9 @@
 //! switched from using Pastry to Chord by changing a single line in its
 //! MACEDON specification". This agent makes no assumption about the
 //! layer below beyond `route`/`routeIP` downcalls and
-//! `forward`/`deliver` upcalls — stack it over [`crate::Pastry`] or
-//! [`crate::Chord`] interchangeably.
+//! `forward`/`deliver` upcalls — stack it over [`crate::Pastry`] or the
+//! generated Chord agent (`macedon_generated::chord::Chord`)
+//! interchangeably.
 //!
 //! Tree construction is reverse-path: a member routes a JOIN toward the
 //! group key; every node the DHT route traverses intercepts it in its

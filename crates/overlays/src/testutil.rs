@@ -1,10 +1,9 @@
 //! World-building helpers shared by this crate's unit tests, the
 //! workspace integration tests and the figure-regeneration harness.
 
-use crate::chord::{Chord, ChordConfig};
 use crate::pastry::{Pastry, PastryConfig};
 use macedon_core::app::{shared_deliveries, CollectorApp, SharedDeliveries};
-use macedon_core::{Duration, MacedonKey, NodeId, Time, World, WorldConfig};
+use macedon_core::{MacedonKey, NodeId, Time, World, WorldConfig};
 use macedon_net::topology::{canned, inet, InetParams, LinkSpec};
 use macedon_net::Topology;
 use macedon_sim::SimRng;
@@ -25,40 +24,6 @@ pub fn inet_topology(routers: usize, clients: usize, seed: u64) -> Topology {
         },
         &mut rng,
     )
-}
-
-/// Spawn a Chord ring of `n` nodes on a star LAN, joins staggered 100 ms
-/// apart through `hosts[0]`. Returns the world, hosts, and a shared
-/// delivery sink wired into every node's app.
-pub fn chord_ring(
-    n: usize,
-    seed: u64,
-    fix_fingers: Duration,
-) -> (World, Vec<NodeId>, SharedDeliveries) {
-    let topo = star_topology(n);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            fix_fingers_period: fix_fingers,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
-    (w, hosts, sink)
 }
 
 /// Spawn a Pastry mesh of `n` nodes on a star LAN.
@@ -107,6 +72,26 @@ pub fn correct_owner(ring: &[(NodeId, MacedonKey)], key: MacedonKey) -> NodeId {
         .0
 }
 
+/// A Chord node's successor read from its successor list: the entry
+/// clockwise-nearest to the node's own key (the spec's
+/// `owner_of(my_key, succs)`).
+pub fn ring_successor(w: &World, node: NodeId, succs: &[NodeId]) -> Option<NodeId> {
+    let me = w.key_of(node);
+    succs
+        .iter()
+        .copied()
+        .min_by_key(|&s| me.distance_to(w.key_of(s)))
+}
+
+/// Correct finger-table entries of a node keyed `me` whose finger *set*
+/// is `fingers`: entry `i` counts when the owner of `me + 2^i` is in the
+/// set (the Figure 10 metric).
+pub fn correct_fingers(ring: &[(NodeId, MacedonKey)], me: MacedonKey, fingers: &[NodeId]) -> usize {
+    (0..32)
+        .filter(|&i| fingers.contains(&correct_owner(ring, me.plus_pow2(i))))
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,5 +118,13 @@ mod tests {
         assert_eq!(correct_owner(&ring, MacedonKey(150)), NodeId(2));
         assert_eq!(correct_owner(&ring, MacedonKey(200)), NodeId(2));
         assert_eq!(correct_owner(&ring, MacedonKey(350)), NodeId(1)); // wraps
+    }
+
+    #[test]
+    fn correct_fingers_counts_owned_offsets() {
+        let ring = vec![(NodeId(1), MacedonKey(0)), (NodeId(2), MacedonKey(1 << 31))];
+        // Offsets 2^0..2^30 land on node 2's arc; 2^31 is node 2 itself.
+        assert_eq!(correct_fingers(&ring, MacedonKey(0), &[NodeId(2)]), 32);
+        assert_eq!(correct_fingers(&ring, MacedonKey(0), &[NodeId(1)]), 0);
     }
 }

@@ -1,13 +1,14 @@
 //! Quickstart: build an emulated network, run a Chord ring on it, and
 //! route messages through the overlay — the MACEDON development loop in
-//! ~50 lines.
+//! ~50 lines. The agents are the ones the translator generated from
+//! `crates/lang/specs/chord.mac`.
 //!
 //! ```sh
 //! cargo run --release -p macedon --example quickstart
 //! ```
 
+use macedon::generated::chord::Chord;
 use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::chord::Chord;
 use macedon::prelude::*;
 use macedon::sim::SimRng;
 
@@ -24,21 +25,26 @@ fn main() {
     );
     let hosts = topo.hosts().to_vec();
 
-    // 2. A world: deterministic event loop + transports + engine.
-    let mut world = World::new(topo, WorldConfig::default());
+    // 2. A world: deterministic event loop + transports + engine, with
+    //    the transport channels chord.mac declares.
+    let channels = macedon::generated::channel_table("chord").expect("chord is generated");
+    let mut world = World::new(
+        topo,
+        WorldConfig {
+            channels,
+            ..Default::default()
+        },
+    );
 
     // 3. One Chord agent per host, joining through hosts[0], with a
     //    delivery-collecting application on top.
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
+        let bootstrap = (i > 0).then(|| hosts[0]);
         world.spawn_at(
             Time::from_millis(i as u64 * 100),
             h,
-            vec![Box::new(Chord::new(cfg))],
+            vec![Box::new(Chord::new(bootstrap))],
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
@@ -78,4 +84,3 @@ fn main() {
 }
 
 use macedon::core::DEFAULT_PRIORITY;
-use macedon::overlays::chord::ChordConfig;

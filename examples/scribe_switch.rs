@@ -8,7 +8,7 @@
 //! cargo run --release -p macedon --example scribe_switch
 //! ```
 
-use macedon::overlays::chord::{Chord, ChordConfig};
+use macedon::generated::chord::Chord;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
 use macedon::prelude::*;
@@ -23,10 +23,16 @@ enum Dht {
 fn run(dht: Dht) -> usize {
     let topo = macedon::net::topology::canned::star(12, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
+    // Each DHT brings the transport channels it declares.
+    let channels = match dht {
+        Dht::Pastry => ChannelSpec::default_table(),
+        Dht::Chord => macedon::generated::channel_table("chord").expect("chord is generated"),
+    };
     let mut world = World::new(
         topo,
         WorldConfig {
             seed: 7,
+            channels,
             ..Default::default()
         },
     );
@@ -41,10 +47,7 @@ fn run(dht: Dht) -> usize {
                 bootstrap,
                 ..Default::default()
             })),
-            Dht::Chord => Box::new(Chord::new(ChordConfig {
-                bootstrap,
-                ..Default::default()
-            })),
+            Dht::Chord => Box::new(Chord::new(bootstrap)),
         };
         let scribe = Box::new(Scribe::new(ScribeConfig::default()));
         world.spawn_at(

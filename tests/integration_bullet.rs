@@ -2,33 +2,31 @@
 //! delivers data the base tree loses (§5: "Bullet nodes receive much
 //! higher bandwidth relative to tree-based overlays").
 
+use macedon::generated::randtree::Randtree;
 use macedon::overlays::bullet::{Bullet, BulletConfig};
-use macedon::overlays::randtree::{RandTree, RandTreeConfig};
 use macedon::prelude::*;
 
-/// Build a RandTree world, optionally with Bullet layered on top, on a
-/// lossy network, and stream packets from the root. Returns the mean
-/// fraction of the stream each receiver got.
+/// The transport channels randtree.mac declares: its tree data rides
+/// the UDP channel, so tree losses are real losses.
+fn randtree_config(seed: u64) -> WorldConfig {
+    WorldConfig {
+        seed,
+        channels: macedon::generated::channel_table("randtree").unwrap(),
+        ..Default::default()
+    }
+}
+
+/// Build a world running the generated RandTree, optionally with Bullet
+/// layered on top, on a lossy network, and stream packets from the root.
+/// Returns the mean fraction of the stream each receiver got.
 fn run(with_bullet: bool, loss: f64, seed: u64) -> f64 {
     let n = 14usize;
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    let mut w = World::new(topo, randtree_config(seed));
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let tree = RandTree::new(RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 3,
-            // Data over the UDP channel: tree losses are real losses.
-            data_ch: ChannelId(4),
-            ..Default::default()
-        });
+        let tree = Randtree::new((i > 0).then(|| hosts[0]));
         let mut stack: Vec<Box<dyn Agent>> = vec![Box::new(tree)];
         if with_bullet {
             stack.push(Box::new(Bullet::new(BulletConfig {
@@ -104,21 +102,10 @@ fn bullet_mesh_actually_exchanges_data() {
     let n = 10usize;
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
+    let mut w = World::new(topo, randtree_config(9));
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let tree = RandTree::new(RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 2,
-            data_ch: ChannelId(4),
-            ..Default::default()
-        });
+        let tree = Randtree::new((i > 0).then(|| hosts[0]));
         let bullet = Bullet::new(BulletConfig::default());
         w.spawn_at(
             Time::from_millis(i as u64 * 100),

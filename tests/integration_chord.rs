@@ -1,10 +1,12 @@
 //! Cross-crate integration: Chord over the full stack (INET topology →
-//! packet pipeline → transports → engine → agent), validating the ring
-//! and routing properties the Fig 10 experiment relies on.
+//! packet pipeline → transports → engine → the agent generated from
+//! chord.mac), validating the ring and routing properties the Fig 10
+//! experiment relies on.
 
+use macedon::core::TraceEvent;
+use macedon::generated::chord::Chord;
 use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::chord::{Chord, ChordConfig};
-use macedon::overlays::testutil::{collect_ring, correct_owner};
+use macedon::overlays::testutil::{collect_ring, correct_owner, ring_successor};
 use macedon::prelude::*;
 use macedon::sim::SimRng;
 
@@ -26,32 +28,46 @@ fn chord_world(
         topo,
         WorldConfig {
             seed,
+            channels: macedon::generated::channel_table("chord").unwrap(),
+            // Send records count routing hops (tracing never changes a run).
+            trace_level: TraceLevel::Med,
             ..Default::default()
         },
     );
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
         w.spawn_at(
             Time::from_millis(i as u64 * 200),
             h,
-            vec![Box::new(Chord::new(cfg))],
+            vec![Box::new(Chord::new((i > 0).then(|| hosts[0])))],
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
     (w, hosts, sink)
 }
 
-fn chord_of(w: &World, h: NodeId) -> &Chord {
-    w.stack(h)
+fn successor(w: &World, h: NodeId) -> Option<NodeId> {
+    let c: &Chord = w
+        .stack(h)
         .unwrap()
         .agent(0)
         .as_any()
         .downcast_ref()
-        .unwrap()
+        .unwrap();
+    ring_successor(w, h, c.neighbor_list("succs").unwrap())
+}
+
+/// `route_data` hops sent since `since`: sends on chord.mac's DATA
+/// channel larger than its empty ping/pong messages.
+fn data_hops_since(w: &World, since: Time) -> u64 {
+    w.merged_trace()
+        .into_iter()
+        .filter(|r| r.at >= since)
+        .filter(|r| {
+            matches!(r.event, TraceEvent::Send { channel, bytes, .. }
+                if channel == ChannelId(1) && bytes > 32)
+        })
+        .count() as u64
 }
 
 #[test]
@@ -61,8 +77,8 @@ fn ring_converges_on_realistic_topology() {
     let ring = collect_ring(&w, &hosts);
     for (i, &(node, _)) in ring.iter().enumerate() {
         assert_eq!(
-            chord_of(&w, node).successor().unwrap().0,
-            ring[(i + 1) % ring.len()].0,
+            successor(&w, node),
+            Some(ring[(i + 1) % ring.len()].0),
             "ring position {i}"
         );
     }
@@ -73,7 +89,6 @@ fn lookups_land_on_owners_with_log_hops() {
     let (mut w, hosts, sink) = chord_world(24, 3);
     w.run_until(Time::from_secs(150));
     let ring = collect_ring(&w, &hosts);
-    let before: u64 = hosts.iter().map(|&h| chord_of(&w, h).forwarded).sum();
     let n = 40u64;
     for i in 0..n {
         let mut p = vec![0u8; 32];
@@ -97,8 +112,7 @@ fn lookups_land_on_owners_with_log_hops() {
         assert_eq!(rec.node, correct_owner(&ring, dest), "lookup {seq} owner");
     }
     drop(log);
-    let after: u64 = hosts.iter().map(|&h| chord_of(&w, h).forwarded).sum();
-    let avg_hops = (after - before) as f64 / n as f64;
+    let avg_hops = data_hops_since(&w, Time::from_secs(150)) as f64 / n as f64;
     assert!(avg_hops <= 7.0, "O(log 24) routing, got {avg_hops}");
 }
 

@@ -2,40 +2,57 @@
 //! the overlays must detect (engine g/f heartbeat failure detector) and
 //! repair.
 
-use macedon::overlays::chord::{Chord, ChordConfig};
+use macedon::generated::chord::Chord;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{Scribe, ScribeConfig};
-use macedon::overlays::testutil::collect_ring;
+use macedon::overlays::testutil::{collect_ring, ring_successor};
 use macedon::prelude::*;
 
 fn star(n: usize) -> macedon::net::Topology {
     macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan())
 }
 
-#[test]
-fn chord_survives_cascading_crashes() {
-    let topo = star(12);
+/// A world running the generated chord.mac agent on every host of
+/// `topo`, joins staggered 100 ms apart through the first host.
+fn chord_world(
+    topo: macedon::net::Topology,
+    seed: u64,
+) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
     let hosts = topo.hosts().to_vec();
     let mut w = World::new(
         topo,
         WorldConfig {
-            seed: 1,
+            seed,
+            channels: macedon::generated::channel_table("chord").unwrap(),
             ..Default::default()
         },
     );
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
         w.spawn_at(
             Time::from_millis(i as u64 * 100),
             h,
-            vec![Box::new(Chord::new(cfg))],
+            vec![Box::new(Chord::new((i > 0).then(|| hosts[0])))],
             Box::new(CollectorApp::new(sink.clone())),
         );
     }
+    (w, hosts, sink)
+}
+
+fn successor(w: &World, h: NodeId) -> Option<NodeId> {
+    let c: &Chord = w
+        .stack(h)
+        .unwrap()
+        .agent(0)
+        .as_any()
+        .downcast_ref()
+        .unwrap();
+    ring_successor(w, h, c.neighbor_list("succs").unwrap())
+}
+
+#[test]
+fn chord_survives_cascading_crashes() {
+    let (mut w, hosts, _sink) = chord_world(star(12), 1);
     w.run_until(Time::from_secs(60));
     // Crash three non-bootstrap nodes, staggered.
     let victims = [hosts[3], hosts[6], hosts[9]];
@@ -50,46 +67,15 @@ fn chord_survives_cascading_crashes() {
         .collect();
     let ring = collect_ring(&w, &alive);
     for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        assert_eq!(
-            c.successor().unwrap().0,
-            ring[(i + 1) % ring.len()].0,
-            "healed ring at {i}"
-        );
-        assert!(!victims.contains(&c.successor().unwrap().0));
+        let succ = successor(&w, node).expect("every survivor has a successor");
+        assert_eq!(succ, ring[(i + 1) % ring.len()].0, "healed ring at {i}");
+        assert!(!victims.contains(&succ));
     }
 }
 
 #[test]
 fn chord_routes_correctly_after_heal() {
-    let topo = star(10);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 3,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = chord_world(star(10), 3);
     w.run_until(Time::from_secs(60));
     let victim = hosts[5];
     w.crash_at(Time::from_secs(60), victim);
@@ -207,41 +193,13 @@ fn scribe_tree_repairs_after_forwarder_crash() {
 
 #[test]
 fn random_loss_does_not_break_chord_maintenance() {
-    let topo = star(8);
-    let hosts = topo.hosts().to_vec();
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 7,
-            ..Default::default()
-        },
-    );
+    let (mut w, hosts, _sink) = chord_world(star(8), 7);
     w.net_mut().faults_mut().set_drop_probability(0.05);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
     w.run_until(Time::from_secs(180));
     let ring = collect_ring(&w, &hosts);
     let mut correct = 0;
     for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        if c.successor().map(|(n, _)| n) == Some(ring[(i + 1) % ring.len()].0) {
+        if successor(&w, node) == Some(ring[(i + 1) % ring.len()].0) {
             correct += 1;
         }
     }
@@ -260,26 +218,7 @@ fn link_failure_and_heal_recovers_traffic() {
         let h = hosts[1];
         topo.link(topo.outgoing(h)[0]).phys
     };
-    let mut w = World::new(
-        topo,
-        WorldConfig {
-            seed: 9,
-            ..Default::default()
-        },
-    );
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = ChordConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(Chord::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, _sink) = chord_world(topo, 9);
     w.run_until(Time::from_secs(40));
     // Take hosts[1]'s access link down briefly; TCP retransmission and
     // engine heartbeats must ride it out.
@@ -289,13 +228,6 @@ fn link_failure_and_heal_recovers_traffic() {
     w.run_until(Time::from_secs(120));
     let ring = collect_ring(&w, &hosts);
     for (i, &(node, _)) in ring.iter().enumerate() {
-        let c: &Chord = w
-            .stack(node)
-            .unwrap()
-            .agent(0)
-            .as_any()
-            .downcast_ref()
-            .unwrap();
-        assert_eq!(c.successor().unwrap().0, ring[(i + 1) % ring.len()].0);
+        assert_eq!(successor(&w, node), Some(ring[(i + 1) % ring.len()].0));
     }
 }

@@ -1,7 +1,7 @@
 //! Cross-crate integration: application-layer multicast — Scribe over
 //! both DHTs (the paper's layering switch) and SplitStream striping.
 
-use macedon::overlays::chord::{Chord, ChordConfig};
+use macedon::generated::chord::Chord;
 use macedon::overlays::pastry::{Pastry, PastryConfig};
 use macedon::overlays::scribe::{DataPath, Scribe, ScribeConfig};
 use macedon::overlays::splitstream::{stripe_key, SplitStream, SplitStreamConfig};
@@ -19,10 +19,16 @@ fn scribe_world(
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
     let topo = macedon::net::topology::canned::star(n, macedon::net::topology::LinkSpec::lan());
     let hosts = topo.hosts().to_vec();
+    // Each DHT brings the transport channels it declares.
+    let channels = match dht {
+        Dht::Pastry => ChannelSpec::default_table(),
+        Dht::Chord => macedon::generated::channel_table("chord").expect("chord is generated"),
+    };
     let mut w = World::new(
         topo,
         WorldConfig {
             seed,
+            channels,
             ..Default::default()
         },
     );
@@ -34,10 +40,7 @@ fn scribe_world(
                 bootstrap,
                 ..Default::default()
             })),
-            Dht::Chord => Box::new(Chord::new(ChordConfig {
-                bootstrap,
-                ..Default::default()
-            })),
+            Dht::Chord => Box::new(Chord::new(bootstrap)),
         };
         w.spawn_at(
             Time::from_millis(i as u64 * 100),

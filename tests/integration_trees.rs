@@ -1,18 +1,45 @@
 //! Cross-crate integration: the tree overlays (Overcast, RandTree, AMMO)
 //! and NICE on realistic topologies, plus the global evaluation metrics
-//! (§4.3: link stress, stretch).
+//! (§4.3: link stress, stretch). Overcast, RandTree and AMMO run from
+//! their specs.
 
+use macedon::baselines::spec_with;
+use macedon::core::TraceEvent;
+use macedon::lang::interp::{channel_table, InterpretedAgent};
+use macedon::lang::Spec;
 use macedon::net::metrics::{link_stress, tree_stretch};
 use macedon::net::topology::{inet, InetParams};
-use macedon::overlays::ammo::{Ammo, AmmoConfig};
 use macedon::overlays::nice::{Nice, NiceConfig};
-use macedon::overlays::overcast::{Overcast, OvercastConfig};
-use macedon::overlays::randtree::{RandTree, RandTreeConfig};
 use macedon::prelude::*;
 use macedon::sim::SimRng;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-fn inet_world(clients: usize, seed: u64) -> (World, Vec<NodeId>) {
+/// A world on the INET topology running the interpreted `spec` on every
+/// host, joins staggered `stagger_ms` apart through the first host.
+fn spec_world(
+    spec: &Arc<Spec>,
+    clients: usize,
+    seed: u64,
+    stagger_ms: u64,
+) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    let (mut w, hosts) = inet_world(clients, seed, channel_table(spec));
+    let sink = shared_deliveries();
+    for (i, &h) in hosts.iter().enumerate() {
+        w.spawn_at(
+            Time::from_millis(i as u64 * stagger_ms),
+            h,
+            vec![Box::new(InterpretedAgent::new(
+                spec.clone(),
+                (i > 0).then(|| hosts[0]),
+            ))],
+            Box::new(CollectorApp::new(sink.clone())),
+        );
+    }
+    (w, hosts, sink)
+}
+
+fn inet_world(clients: usize, seed: u64, channels: Vec<ChannelSpec>) -> (World, Vec<NodeId>) {
     let mut rng = SimRng::new(seed);
     let topo = inet(
         &InetParams {
@@ -27,6 +54,7 @@ fn inet_world(clients: usize, seed: u64) -> (World, Vec<NodeId>) {
         topo,
         WorldConfig {
             seed,
+            channels,
             ..Default::default()
         },
     );
@@ -35,33 +63,24 @@ fn inet_world(clients: usize, seed: u64) -> (World, Vec<NodeId>) {
 
 #[test]
 fn overcast_tree_on_inet_with_stretch_metric() {
-    let (mut w, hosts) = inet_world(14, 1);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = OvercastConfig {
-            bootstrap: (i > 0).then(|| hosts[0]),
-            max_children: 4,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 200),
-            h,
-            vec![Box::new(Overcast::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, _sink) = spec_world(
+        &Arc::new(spec_with("overcast", &[("MAXKIDS", 4)])),
+        14,
+        1,
+        200,
+    );
     w.run_until(Time::from_secs(90));
     // Extract the overlay tree and compute stretch via the oracle.
     let mut parents: HashMap<NodeId, NodeId> = HashMap::new();
     for &h in &hosts[1..] {
-        let o: &Overcast = w
+        let o: &InterpretedAgent = w
             .stack(h)
             .unwrap()
             .agent(0)
             .as_any()
             .downcast_ref()
             .unwrap();
-        if let Some(p) = o.parent() {
+        if let Some(&p) = o.list("papa").unwrap().first() {
             parents.insert(h, p);
         }
     }
@@ -76,21 +95,12 @@ fn overcast_tree_on_inet_with_stretch_metric() {
 
 #[test]
 fn randtree_multicast_link_stress_bounded_by_fanout() {
-    let (mut w, hosts) = inet_world(12, 3);
-    let sink = shared_deliveries();
-    for (i, &h) in hosts.iter().enumerate() {
-        let cfg = RandTreeConfig {
-            root: (i > 0).then(|| hosts[0]),
-            max_children: 3,
-            ..Default::default()
-        };
-        w.spawn_at(
-            Time::from_millis(i as u64 * 100),
-            h,
-            vec![Box::new(RandTree::new(cfg))],
-            Box::new(CollectorApp::new(sink.clone())),
-        );
-    }
+    let (mut w, hosts, sink) = spec_world(
+        &Arc::new(spec_with("randtree", &[("MAXKIDS", 3)])),
+        12,
+        3,
+        100,
+    );
     w.run_until(Time::from_secs(60));
     let baseline = w.net().link_counters();
     let mut p = vec![0u8; 512];
@@ -126,18 +136,16 @@ fn randtree_multicast_link_stress_bounded_by_fanout() {
 
 #[test]
 fn ammo_adapts_without_partition_on_inet() {
-    let (mut w, hosts) = inet_world(14, 5);
+    let (mut w, hosts) = inet_world(14, 5, macedon::generated::channel_table("ammo").unwrap());
     let sink = shared_deliveries();
     for (i, &h) in hosts.iter().enumerate() {
-        let cfg = AmmoConfig {
-            root: (i > 0).then(|| hosts[0]),
-            ..Default::default()
-        };
-        w.spawn_at(
+        // Traced at High for the FSM transitions counted below.
+        w.spawn_at_traced(
             Time::from_millis(i as u64 * 150),
             h,
-            vec![Box::new(Ammo::new(cfg))],
+            macedon::generated::build_stack("ammo", (i > 0).then(|| hosts[0])).unwrap(),
             Box::new(CollectorApp::new(sink.clone())),
+            TraceLevel::High,
         );
     }
     w.run_until(Time::from_secs(180));
@@ -162,19 +170,16 @@ fn ammo_adapts_without_partition_on_inet() {
         hosts.len() - 1
     );
     drop(log);
-    let reloc: u32 = hosts
-        .iter()
-        .map(|&h| {
-            let a: &Ammo = w
-                .stack(h)
-                .unwrap()
-                .agent(0)
-                .as_any()
-                .downcast_ref()
-                .unwrap();
-            a.relocations
+    // A relocation is a probe epoch that leaves `evaluating` to rejoin
+    // under a better-scoring parent.
+    let reloc = w
+        .merged_trace()
+        .into_iter()
+        .filter(|r| {
+            matches!(&r.event, TraceEvent::FsmTransition { from, to }
+                if from == "evaluating" && to == "joining")
         })
-        .sum();
+        .count();
     assert!(
         reloc > 0,
         "AMMO actually adapted on a heterogeneous topology"
