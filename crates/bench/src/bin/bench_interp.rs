@@ -12,6 +12,7 @@
 //! (`--nodes N` overrides the macro-run size, `--out PATH` the output
 //! file).
 
+use macedon_bench::arg_value;
 use macedon_bench::experiments::{dispatch_frames, dispatch_stack, interp_macro_run};
 use macedon_core::{SpanId, Time, TraceLevel};
 use std::time::Instant;
@@ -30,16 +31,6 @@ const BASELINE_MACRO_MS: f64 = 807.0;
 /// for runner noise while staying below the pre-IR baselines above.
 const CEILING_DISPATCH_NS: f64 = 350.0;
 const CEILING_MACRO_MS: f64 = 1_500.0;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() {
     let nodes: usize = arg_value("--nodes")

@@ -44,6 +44,7 @@
 //! the worker axis — `--threads 0` skips it, `--out PATH` the output
 //! file).
 
+use macedon_bench::arg_value;
 use macedon_bench::experiments::{
     scenario_churn_run, scenario_scale_run, scenario_scale_run_workers,
 };
@@ -58,16 +59,6 @@ const REQUIRED_REDUCTION: f64 = 3.0;
 const CEILING_10K_SECS: f64 = 60.0;
 /// Required parallel speedup at 8 workers — armed only on >= 8 cores.
 const REQUIRED_SPEEDUP_8W: f64 = 3.0;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() {
     let sizes: Vec<usize> = arg_value("--sizes")

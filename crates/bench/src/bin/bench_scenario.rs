@@ -11,6 +11,7 @@
 //! Usage: `cargo run --release -p macedon-bench --bin bench_scenario`
 //! (`--nodes N` overrides the churn size, `--out PATH` the output file).
 
+use macedon_bench::arg_value;
 use macedon_bench::experiments::{scenario_churn_run_workers, scenario_churn_script};
 use std::time::Instant;
 
@@ -21,16 +22,6 @@ use std::time::Instant;
 /// ceilings leave wide headroom for runner noise.
 const CEILING_COMPILE_US: f64 = 25.0;
 const CEILING_US_PER_EVENT: f64 = 10.0;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() {
     let nodes: usize = arg_value("--nodes")

@@ -13,19 +13,10 @@
 //! (`--seeds 1,2,3`, `--nodes 50,100,200`, `--loss 0,0.02`,
 //! `--workers N`, `--out PATH` override the defaults).
 
+use macedon_bench::arg_value;
 use macedon_bench::experiments::{sweep_churn_cell, sweep_churn_spec};
 use macedon_scenario::run_sweep;
 use std::time::Instant;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn list_u64(name: &str, default: &[u64]) -> Vec<u64> {
     arg_value(name)

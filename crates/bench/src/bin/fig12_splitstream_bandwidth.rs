@@ -12,18 +12,8 @@
 //! (`--telemetry-out`, default `fig12_telemetry.jsonl`).
 use macedon_bench::experiments::{fig12_from_spec_observed, fig12_workers};
 use macedon_bench::table::{f1, maybe_write_csv, print_table};
-use macedon_bench::Scale;
+use macedon_bench::{arg_value, Scale};
 use macedon_core::Duration;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 fn main() {
     let scale = Scale::from_args();

@@ -18,21 +18,12 @@
 //! Usage: `cargo run --release -p macedon-bench --bin par_eq`
 //! (`--nodes N` overrides the population, `--shards 2,4` the matrix).
 
+use macedon_bench::arg_value;
 use macedon_core::WorldConfig;
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{LinkSpec, Topology, TopologyBuilder};
 use macedon_scenario::ScenarioRunner;
 use macedon_sim::Duration;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 /// Uncontended star: distinct per-spoke delays (2ms + 1µs·i), links
 /// fat enough that reservations never queue behind cross-shard

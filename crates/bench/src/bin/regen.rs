@@ -4,12 +4,12 @@
 //! cargo run -p macedon-bench --bin regen
 //! ```
 //!
-//! Rerun after editing any bundled spec or the code generator. CI reruns
-//! this tool and fails on `git diff --exit-code crates/generated`, so the
-//! checked-in agents can never drift from the specs (and hand edits to
-//! generated files cannot merge). Output is byte-deterministic; the
-//! generated files carry `#![rustfmt::skip]` so formatter drift cannot
-//! perturb the freshness gate.
+//! Rerun after editing any bundled spec or the code generator. The
+//! tier-1 test `crates/lang/tests/golden.rs` fails unless the checked-in
+//! agents are exactly this tool's output, so they can never drift from
+//! the specs (and hand edits to generated files cannot merge). Output is
+//! byte-deterministic; the generated files carry `#![rustfmt::skip]` so
+//! formatter drift cannot perturb that gate.
 
 use std::fs;
 use std::path::Path;

@@ -15,6 +15,7 @@
 //! Exits non-zero on any violation. Scale down with `--nodes N` for
 //! quick local runs; CI runs the full 200.
 
+use macedon_bench::arg_value;
 use macedon_core::app::{shared_deliveries, CollectorApp};
 use macedon_core::{
     perfetto_json, Bytes, DownCall, Duration, MacedonKey, SpanId, Time, TraceEvent, TraceLevel,
@@ -23,16 +24,6 @@ use macedon_core::{
 use macedon_lang::SpecRegistry;
 use macedon_net::topology::{canned, LinkSpec};
 use std::collections::HashMap;
-
-fn arg_value(name: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == name {
-            return args.next();
-        }
-    }
-    None
-}
 
 enum Kind {
     Interpreted,

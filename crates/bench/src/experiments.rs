@@ -1,7 +1,7 @@
 //! The experiment implementations behind the `fig*` binaries.
 //!
 //! Each function reproduces one figure of the paper's §4 and returns the
-//! rows/series to print; EXPERIMENTS.md records paper-vs-measured.
+//! rows/series to print.
 
 use crate::Scale;
 use macedon_baselines::{spec_with, FreePastry, RmiModel, LSD_CONSTANTS};
@@ -427,12 +427,9 @@ pub struct Fig12Series {
     pub events: u64,
 }
 
-pub fn fig12(scale: Scale) -> Fig12Series {
-    fig12_workers(scale, 1)
-}
-
-/// [`fig12`] on the sharded windowed engine: `workers` shards driven
-/// by `workers` threads (1 = the sequential engine).
+/// Figure 12: native SplitStream streaming over Pastry with and without
+/// location-cache eviction, run on `workers` shards driven by `workers`
+/// threads (1 = the sequential engine).
 pub fn fig12_workers(scale: Scale, workers: usize) -> Fig12Series {
     let (nodes, converge_s, stream_s, rate_bps) = match scale {
         Scale::Quick => (32usize, 60u64, 90u64, 600_000u64),
@@ -553,6 +550,15 @@ fn bin_goodput(
         .collect()
 }
 
+/// Observability artifacts riding along a [`fig12_from_spec_observed`] run.
+pub struct Fig12Observed {
+    pub series: Vec<(f64, f64)>,
+    /// Chrome/Perfetto trace-event JSON, when tracing was requested.
+    pub perfetto: Option<String>,
+    /// The sampled engine time series, when a sampler was requested.
+    pub telemetry: Option<TelemetryReport>,
+}
+
 /// Figure 12, from-spec mode: the same streaming scenario over the
 /// fully interpreted `splitstream.mac` → `scribe.mac` → `pastry.mac`
 /// stack — the whole paper roster running from specifications.
@@ -566,24 +572,12 @@ fn bin_goodput(
 /// The experiment itself is a scenario: a `ScenarioBuilder` declaration
 /// (staggered joins + one multicast stream) compiled by the scenario
 /// runner, instead of a bespoke spawn/api loop.
-pub fn fig12_from_spec(scale: Scale) -> Vec<(f64, f64)> {
-    fig12_from_spec_observed(scale, false, None).series
-}
-
-/// Observability artifacts riding along a [`fig12_from_spec`] run.
-pub struct Fig12Observed {
-    pub series: Vec<(f64, f64)>,
-    /// Chrome/Perfetto trace-event JSON, when tracing was requested.
-    pub perfetto: Option<String>,
-    /// The sampled engine time series, when a sampler was requested.
-    pub telemetry: Option<TelemetryReport>,
-}
-
-/// [`fig12_from_spec`] with the observability stack switched on: the
-/// stacks run at the trace level `splitstream.mac`'s `trace_` header
-/// asks for — raised to High when `trace` is set, so the exported
-/// timeline carries the full causal span forest — and `sample_every`
-/// snapshots engine counters on that virtual-time cadence.
+///
+/// The observability stack rides along: the stacks run at the trace
+/// level `splitstream.mac`'s `trace_` header asks for — raised to High
+/// when `trace` is set, so the exported timeline carries the full causal
+/// span forest — and `sample_every` snapshots engine counters on that
+/// virtual-time cadence.
 pub fn fig12_from_spec_observed(
     scale: Scale,
     trace: bool,

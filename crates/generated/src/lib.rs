@@ -6,9 +6,9 @@
 //! closed under CI.
 //!
 //! **Do not edit anything in `src/`**: regenerate with
-//! `cargo run -p macedon-bench --bin regen`. CI re-runs that tool and
-//! fails on `git diff crates/generated`, so hand edits and stale output
-//! cannot merge.
+//! `cargo run -p macedon-bench --bin regen`. The tier-1 test
+//! `crates/lang/tests/golden.rs` fails unless `src/` is exactly the
+//! generator's output, so hand edits and stale modules cannot merge.
 //!
 //! Generated agents are behaviorally identical to interpreting the same
 //! spec (same RNG draws, byte-identical wire messages, same engine op

@@ -2291,9 +2291,9 @@ pub fn generate_bundled_crate() -> Result<Vec<(String, String)>, CodegenError> {
          //! closed under CI.\n\
          //!\n\
          //! **Do not edit anything in `src/`**: regenerate with\n\
-         //! `cargo run -p macedon-bench --bin regen`. CI re-runs that tool and\n\
-         //! fails on `git diff crates/generated`, so hand edits and stale output\n\
-         //! cannot merge.\n\
+         //! `cargo run -p macedon-bench --bin regen`. The tier-1 test\n\
+         //! `crates/lang/tests/golden.rs` fails unless `src/` is exactly the\n\
+         //! generator's output, so hand edits and stale modules cannot merge.\n\
          //!\n\
          //! Generated agents are behaviorally identical to interpreting the same\n\
          //! spec (same RNG draws, byte-identical wire messages, same engine op\n\

@@ -1,31 +1,35 @@
-//! Golden-file snapshots of the generated code for all nine bundled
-//! specs. A codegen change that alters output shows up here as a
-//! readable diff instead of an opaque downstream failure; the checked-in
-//! `crates/generated` sources are the same text (its `lib.rs` aside).
+//! The checked-in `crates/generated/src` is the golden snapshot of the
+//! translator's output: every file `generate_bundled_crate` emits for
+//! the nine bundled specs, `lib.rs` included, must match it byte for
+//! byte, and the directory must hold no other module. A codegen or spec
+//! change that alters output shows up here as a readable diff instead of
+//! an opaque downstream failure, and a hand edit to a generated file or a
+//! stale module cannot pass.
 //!
 //! To refresh after an intentional codegen or spec change:
 //!
 //! ```sh
-//! UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden
 //! cargo run -p macedon-bench --bin regen
 //! ```
 
-use macedon_lang::{bundled_specs, codegen, compile, SpecRegistry};
+use macedon_lang::codegen::generate_bundled_crate;
 use std::path::PathBuf;
 
-fn golden_path(name: &str) -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(format!("tests/golden/{name}.rs.golden"))
+const REFRESH: &str = "cargo run -p macedon-bench --bin regen";
+
+fn generated_src() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../generated/src")
 }
 
 /// First differing line, for a readable failure message.
 fn first_diff(want: &str, got: &str) -> String {
     for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
         if w != g {
-            return format!("line {}:\n  golden:    {w}\n  generated: {g}", i + 1);
+            return format!("line {}:\n  checked in: {w}\n  generated:  {g}", i + 1);
         }
     }
     format!(
-        "line counts differ: golden {} vs generated {}",
+        "line counts differ: checked in {} vs generated {}",
         want.lines().count(),
         got.lines().count()
     )
@@ -33,32 +37,15 @@ fn first_diff(want: &str, got: &str) -> String {
 
 #[test]
 fn generated_code_matches_golden_snapshots() {
-    let update = std::env::var_os("UPDATE_GOLDEN").is_some();
-    let reg = SpecRegistry::bundled();
-    for (name, src) in bundled_specs() {
-        let spec = compile(src).expect("bundled spec compiles");
-        // Same generation path as `regen`: layered specs resolve their
-        // message classes against the chain's base transport table.
-        let chain = reg.resolve_chain(name).expect("bundled chain resolves");
-        let base = spec.uses.as_ref().map(|_| chain[0].transports.as_slice());
-        let got = codegen::generate_with_base(&spec, base).expect("bundled spec generates");
-        let path = golden_path(name);
-        if update {
-            std::fs::write(&path, &got).expect("write golden");
-            continue;
-        }
-        let want = std::fs::read_to_string(&path).unwrap_or_else(|_| {
-            panic!(
-                "missing golden file {}; run UPDATE_GOLDEN=1 cargo test -p macedon-lang \
-                 --test golden",
-                path.display()
-            )
-        });
+    let dir = generated_src();
+    for (name, got) in generate_bundled_crate().expect("bundled crate generates") {
+        let path = dir.join(&name);
+        let want = std::fs::read_to_string(&path)
+            .unwrap_or_else(|_| panic!("missing generated file {}; run {REFRESH}", path.display()));
         assert!(
             want == got,
-            "{name}.mac codegen drifted from its golden snapshot.\n{}\n\
-             If intentional: UPDATE_GOLDEN=1 cargo test -p macedon-lang --test golden \
-             && cargo run -p macedon-bench --bin regen",
+            "crates/generated/src/{name} drifted from the code generator's output.\n{}\n\
+             If intentional: {REFRESH}",
             first_diff(&want, &got)
         );
     }
@@ -66,22 +53,21 @@ fn generated_code_matches_golden_snapshots() {
 
 #[test]
 fn golden_snapshots_cover_exactly_the_bundled_roster() {
-    let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
-    let mut on_disk: Vec<String> = std::fs::read_dir(dir)
-        .expect("golden dir exists")
+    let mut on_disk: Vec<String> = std::fs::read_dir(generated_src())
+        .expect("crates/generated/src exists")
         .flatten()
-        .filter_map(|e| {
-            e.file_name()
-                .to_string_lossy()
-                .strip_suffix(".rs.golden")
-                .map(str::to_string)
-        })
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|n| n.ends_with(".rs"))
         .collect();
     on_disk.sort();
-    let mut expected: Vec<String> = bundled_specs()
+    let mut expected: Vec<String> = generate_bundled_crate()
+        .expect("bundled crate generates")
         .into_iter()
-        .map(|(n, _)| n.to_string())
+        .map(|(n, _)| n)
         .collect();
     expected.sort();
-    assert_eq!(on_disk, expected, "stale or missing golden files");
+    assert_eq!(
+        on_disk, expected,
+        "stale or missing modules in crates/generated/src; run {REFRESH}"
+    );
 }

@@ -18,13 +18,27 @@ fn chord_world(
     topo: macedon::net::Topology,
     seed: u64,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
+    chord_world_with(
+        topo,
+        WorldConfig {
+            seed,
+            ..Default::default()
+        },
+    )
+}
+
+/// [`chord_world`] with engine settings (failure-detector thresholds)
+/// taken from `cfg`.
+fn chord_world_with(
+    topo: macedon::net::Topology,
+    cfg: WorldConfig,
+) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
     let hosts = topo.hosts().to_vec();
     let mut w = World::new(
         topo,
         WorldConfig {
-            seed,
             channels: macedon::generated::channel_table("chord").unwrap(),
-            ..Default::default()
+            ..cfg
         },
     );
     let sink = shared_deliveries();
@@ -70,6 +84,33 @@ fn chord_survives_cascading_crashes() {
         let succ = successor(&w, node).expect("every survivor has a successor");
         assert_eq!(succ, ring[(i + 1) % ring.len()].0, "healed ring at {i}");
         assert!(!victims.contains(&succ));
+    }
+
+    // One crash on a 6-node ring heals under aggressive, the paper's
+    // and lazy failure-detector g/f thresholds alike.
+    for (g_s, f_s) in [(2u64, 6u64), (5, 15), (10, 30)] {
+        let (mut w, hosts, _sink) = chord_world_with(
+            star(6),
+            WorldConfig {
+                seed: 8,
+                fd_g: Duration::from_secs(g_s),
+                fd_f: Duration::from_secs(f_s),
+                ..Default::default()
+            },
+        );
+        w.run_until(Time::from_secs(30));
+        let victim = hosts[3];
+        w.crash_at(Time::from_secs(30), victim);
+        w.run_until(Time::from_secs(30 + 4 * f_s + 20));
+        let alive: Vec<NodeId> = hosts.iter().copied().filter(|&h| h != victim).collect();
+        let ring = collect_ring(&w, &alive);
+        for (i, &(node, _)) in ring.iter().enumerate() {
+            assert_eq!(
+                successor(&w, node),
+                Some(ring[(i + 1) % ring.len()].0),
+                "g/f {g_s}/{f_s} s: healed ring at {i}"
+            );
+        }
     }
 }
 

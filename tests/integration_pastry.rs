@@ -2,25 +2,16 @@
 //! the location-cache machinery behind Figure 12.
 
 use macedon::core::WireWriter;
-use macedon::net::topology::{inet, InetParams};
+use macedon::net::Topology;
 use macedon::overlays::pastry::{Pastry, PastryConfig, EXT_ROUTE_DIRECT};
+use macedon::overlays::testutil::{inet_topology, star_topology};
 use macedon::prelude::*;
-use macedon::sim::SimRng;
 
 fn pastry_world(
-    clients: usize,
+    topo: Topology,
     seed: u64,
     cache_lifetime: Option<Duration>,
 ) -> (World, Vec<NodeId>, macedon::core::app::SharedDeliveries) {
-    let mut rng = SimRng::new(seed);
-    let topo = inet(
-        &InetParams {
-            routers: 150,
-            clients,
-            ..Default::default()
-        },
-        &mut rng,
-    );
     let hosts = topo.hosts().to_vec();
     let mut w = World::new(
         topo,
@@ -69,7 +60,7 @@ fn closest(w: &World, hosts: &[NodeId], key: MacedonKey) -> NodeId {
 
 #[test]
 fn routing_delivers_to_numerically_closest_on_inet() {
-    let (mut w, hosts, sink) = pastry_world(20, 11, None);
+    let (mut w, hosts, sink) = pastry_world(inet_topology(150, 20, 11), 11, None);
     w.run_until(Time::from_secs(120));
     for i in 0..30u64 {
         let mut p = vec![0u8; 32];
@@ -96,7 +87,7 @@ fn routing_delivers_to_numerically_closest_on_inet() {
 
 #[test]
 fn location_cache_cuts_repeat_latency() {
-    let (mut w, hosts, sink) = pastry_world(16, 13, None);
+    let (mut w, hosts, sink) = pastry_world(inet_topology(150, 16, 13), 13, None);
     w.run_until(Time::from_secs(120));
     let target = w.key_of(hosts[9]);
     let send = |w: &mut World, at: Time, seq: u64| {
@@ -132,24 +123,35 @@ fn location_cache_cuts_repeat_latency() {
     assert_eq!(p.cache_hits, 1);
 }
 
+/// Converged leaf sets hold each node's true clockwise neighbor, and the
+/// data/control locking split exposes real read parallelism: Pastry's
+/// read-only transitions run under the read lock.
 #[test]
 fn leaf_sets_match_global_neighbors() {
-    let (mut w, hosts, _sink) = pastry_world(14, 17, None);
-    w.run_until(Time::from_secs(150));
-    for &h in &hosts {
-        let me = w.key_of(h);
-        let nearest_cw = hosts
-            .iter()
-            .copied()
-            .filter(|&o| o != h)
-            .min_by_key(|&o| me.distance_to(w.key_of(o)))
-            .unwrap();
-        assert!(
-            pastry_of(&w, h)
-                .leaf_set()
+    let worlds = [
+        ("inet-14", inet_topology(150, 14, 17), 17, 150),
+        ("star-10", star_topology(10), 7, 40),
+    ];
+    for (label, topo, seed, secs) in worlds {
+        let (mut w, hosts, _sink) = pastry_world(topo, seed, None);
+        w.run_until(Time::from_secs(secs));
+        for &h in &hosts {
+            let me = w.key_of(h);
+            let nearest_cw = hosts
                 .iter()
-                .any(|&(n, _)| n == nearest_cw),
-            "{h:?} knows its clockwise neighbor"
-        );
+                .copied()
+                .filter(|&o| o != h)
+                .min_by_key(|&o| me.distance_to(w.key_of(o)))
+                .unwrap();
+            assert!(
+                pastry_of(&w, h)
+                    .leaf_set()
+                    .iter()
+                    .any(|&(n, _)| n == nearest_cw),
+                "{label}: {h:?} knows its clockwise neighbor"
+            );
+        }
+        let (reads, _) = w.transition_counts();
+        assert!(reads > 0, "{label}: no read-locked transitions");
     }
 }
