@@ -16,7 +16,7 @@
 //! gives deterministic cross-layer ordering.
 
 use crate::api::{DownCall, ForwardInfo, ProtocolId, UpCall};
-use crate::key::{Addressing, MacedonKey};
+use crate::key::{MacedonKey, NodeKeys};
 use crate::measure::MeasureLedger;
 use crate::trace::{TraceEvent, TraceLevel};
 use bytes::Bytes;
@@ -78,9 +78,6 @@ pub struct Ctx<'a> {
     pub me: NodeId,
     /// This node's key under the world's addressing mode.
     pub my_key: MacedonKey,
-    /// The world's addressing mode — how `my_key` (and every peer's
-    /// key) derives from a node id.
-    pub addressing: Addressing,
     /// Index of the executing layer (0 = lowest).
     pub layer: usize,
     /// Total protocol layers in this stack (the application sits at
@@ -92,6 +89,8 @@ pub struct Ctx<'a> {
     /// This node's engine measurement ledger (smoothed RTT and inbound
     /// goodput per peer — see [`crate::measure`]).
     pub(crate) measures: &'a MeasureLedger,
+    /// The world's node-key table (see [`Ctx::key_of`]).
+    pub(crate) keys: &'a NodeKeys,
     pub(crate) ops: &'a mut VecDeque<(usize, Op)>,
     pub(crate) locking: Locking,
     /// Verbosity threshold traces are collected at (the world's
@@ -100,6 +99,18 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
+    /// Key of `node` under the world's addressing mode (how `my_key`
+    /// was derived), read from the world's node-key table.
+    pub fn key_of(&self, node: NodeId) -> MacedonKey {
+        self.keys.key_of(node)
+    }
+
+    /// The world's node-key table (what `owner_of` resolves list
+    /// members against).
+    pub fn node_keys(&self) -> &NodeKeys {
+        self.keys
+    }
+
     /// Invoke the layer below with an API downcall.
     pub fn down(&mut self, call: DownCall) {
         self.ops.push_back((self.layer, Op::Down(call)));
@@ -351,21 +362,23 @@ impl AppHandler for NullApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::key::Addressing;
 
     #[test]
     fn ctx_buffers_ops_with_layer_tags() {
         let mut ops = VecDeque::new();
         let mut rng = SimRng::new(1);
         let measures = MeasureLedger::new();
+        let keys = NodeKeys::new(Addressing::Hash, 0);
         let mut ctx = Ctx {
             now: Time::ZERO,
             me: NodeId(0),
             my_key: MacedonKey(0),
-            addressing: Addressing::Hash,
             layer: 2,
             layers: 3,
             rng: &mut rng,
             measures: &measures,
+            keys: &keys,
             ops: &mut ops,
             locking: Locking::Write,
             trace_level: TraceLevel::High,
@@ -394,15 +407,16 @@ mod tests {
         measures.on_ack(Time::ZERO, peer, Some(Duration::from_micros(300)));
         measures.on_bytes_in(Time::ZERO, peer, 10);
         measures.on_bytes_in(Time::from_millis(200), peer, 10);
+        let keys = NodeKeys::new(Addressing::Hash, 0);
         let ctx = Ctx {
             now: Time::ZERO,
             me: NodeId(0),
             my_key: MacedonKey(0),
-            addressing: Addressing::Hash,
             layer: 0,
             layers: 1,
             rng: &mut rng,
             measures: &measures,
+            keys: &keys,
             ops: &mut ops,
             locking: Locking::Write,
             trace_level: TraceLevel::High,
@@ -420,15 +434,16 @@ mod tests {
         let mut ops = VecDeque::new();
         let mut rng = SimRng::new(1);
         let measures = MeasureLedger::new();
+        let keys = NodeKeys::new(Addressing::Hash, 0);
         let mut ctx = Ctx {
             now: Time::ZERO,
             me: NodeId(0),
             my_key: MacedonKey(0),
-            addressing: Addressing::Hash,
             layer: 0,
             layers: 1,
             rng: &mut rng,
             measures: &measures,
+            keys: &keys,
             ops: &mut ops,
             locking: Locking::Write,
             trace_level: TraceLevel::High,

@@ -8,6 +8,7 @@
 use crate::sha1::sha1_u32;
 use macedon_net::NodeId;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A point on the 2^32 identifier ring.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -94,6 +95,66 @@ impl MacedonKey {
     }
 }
 
+/// A world's node-key table: each node's [`MacedonKey`] derived at most
+/// once and looked up after that.
+///
+/// Agents compare peer keys on every routing decision, and under hash
+/// addressing each derivation is a full SHA-1. The table keeps one slot
+/// per topology node, filled lazily on first lookup, so set-up hashes
+/// nothing and a node nobody asks about is never hashed. The key is a
+/// pure function of the node id and the mode, so two shard threads that
+/// race on an empty slot store the same value: relaxed ordering is
+/// enough, and lookups can never change a result. Ids beyond the table
+/// (from wire bytes, or a standalone stack with no world) are derived
+/// on the spot.
+pub struct NodeKeys {
+    mode: Addressing,
+    /// `EMPTY` or the key, zero-extended. Empty under `Ip` addressing,
+    /// where the key is the id itself.
+    slots: Box<[AtomicU64]>,
+}
+
+/// Slot sentinel: above every zero-extended 32-bit key.
+const EMPTY: u64 = u64::MAX;
+
+impl NodeKeys {
+    /// A table for node ids `0..nodes` under `mode`, all slots empty.
+    pub fn new(mode: Addressing, nodes: usize) -> NodeKeys {
+        let nodes = match mode {
+            Addressing::Hash => nodes,
+            Addressing::Ip => 0,
+        };
+        NodeKeys {
+            mode,
+            slots: (0..nodes).map(|_| AtomicU64::new(EMPTY)).collect(),
+        }
+    }
+
+    /// Key of `node`: equal to `MacedonKey::of_node(node, mode)`.
+    pub fn key_of(&self, node: NodeId) -> MacedonKey {
+        let Some(slot) = self.slots.get(node.index()) else {
+            return MacedonKey::of_node(node, self.mode);
+        };
+        match slot.load(Ordering::Relaxed) {
+            EMPTY => {
+                let key = MacedonKey::of_node(node, self.mode);
+                slot.store(key.0 as u64, Ordering::Relaxed);
+                key
+            }
+            v => MacedonKey(v as u32),
+        }
+    }
+}
+
+impl fmt::Debug for NodeKeys {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("NodeKeys")
+            .field("mode", &self.mode)
+            .field("slots", &self.slots.len())
+            .finish()
+    }
+}
+
 // ---------------------------------------------------------------------------
 // DSL builtin semantics — shared by the IR interpreter and the generated
 // Rust back end so `ring_dist(...)` and friends evaluate bit-for-bit
@@ -164,13 +225,13 @@ pub fn dsl_key_add(k: MacedonKey, off: i64) -> MacedonKey {
 
 /// `owner_of(key, list)`: the list member that owns `key` — the node
 /// whose key is clockwise-nearest at-or-after `key`, ties broken by node
-/// id so the choice is deterministic. A null key or an empty list yields
-/// null.
-pub fn dsl_owner_of(key: Option<MacedonKey>, list: &[NodeId], mode: Addressing) -> Option<NodeId> {
+/// id so the choice is deterministic. Member keys come from the world's
+/// `keys` table. A null key or an empty list yields null.
+pub fn dsl_owner_of(key: Option<MacedonKey>, list: &[NodeId], keys: &NodeKeys) -> Option<NodeId> {
     let key = key?;
     list.iter()
         .copied()
-        .min_by_key(|&n| (key.distance_to(MacedonKey::of_node(n, mode)), n.0))
+        .min_by_key(|&n| (key.distance_to(keys.key_of(n)), n.0))
 }
 
 impl fmt::Debug for MacedonKey {
@@ -197,6 +258,26 @@ mod tests {
         assert_ne!(h, MacedonKey(42));
         // Deterministic.
         assert_eq!(h, MacedonKey::of_node(n, Addressing::Hash));
+    }
+
+    #[test]
+    fn node_keys_fill_lazily_and_match_of_node() {
+        let keys = NodeKeys::new(Addressing::Hash, 4);
+        assert!(keys
+            .slots
+            .iter()
+            .all(|s| s.load(Ordering::Relaxed) == EMPTY));
+        let k = keys.key_of(NodeId(2));
+        assert_eq!(k, MacedonKey::of_node(NodeId(2), Addressing::Hash));
+        assert_eq!(keys.slots[2].load(Ordering::Relaxed), k.0 as u64);
+        assert_eq!(keys.slots[1].load(Ordering::Relaxed), EMPTY);
+        // Beyond the table: derived on the spot, nothing stored.
+        let far = NodeId(1_000);
+        assert_eq!(keys.key_of(far), MacedonKey::of_node(far, Addressing::Hash));
+        // Ip addressing needs no slots at all.
+        let ip = NodeKeys::new(Addressing::Ip, 4);
+        assert!(ip.slots.is_empty());
+        assert_eq!(ip.key_of(NodeId(3)), MacedonKey(3));
     }
 
     #[test]
@@ -294,8 +375,9 @@ mod tests {
         assert!(!dsl_ring_between(k, k, None));
         assert_eq!(dsl_digit(None, 0, 16), 0);
         assert_eq!(dsl_prefix_len(None, k), 0);
-        assert_eq!(dsl_owner_of(None, &[NodeId(1)], Addressing::Ip), None);
-        assert_eq!(dsl_owner_of(k, &[], Addressing::Ip), None);
+        let ip = NodeKeys::new(Addressing::Ip, 0);
+        assert_eq!(dsl_owner_of(None, &[NodeId(1)], &ip), None);
+        assert_eq!(dsl_owner_of(k, &[], &ip), None);
     }
 
     #[test]
@@ -317,7 +399,8 @@ mod tests {
         // Ip addressing: node id is the key. Owner of 10 among
         // {5, 10, 20} is 10 itself (distance 0); owner of 11 is 20.
         let list = [NodeId(5), NodeId(10), NodeId(20)];
-        let own = |k: u32| dsl_owner_of(Some(MacedonKey(k)), &list, Addressing::Ip);
+        let ip = NodeKeys::new(Addressing::Ip, 0);
+        let own = |k: u32| dsl_owner_of(Some(MacedonKey(k)), &list, &ip);
         assert_eq!(own(10), Some(NodeId(10)));
         assert_eq!(own(11), Some(NodeId(20)));
         // Wraps past the top of the ring back to the smallest id.

@@ -40,7 +40,7 @@ pub mod world;
 pub use agent::{Agent, AppHandler, Ctx, Locking, NullApp};
 pub use api::{DownCall, ForwardInfo, ProtocolId, UpCall, DEFAULT_PRIORITY, TUNNEL_PROTOCOL};
 pub use export::perfetto_json;
-pub use key::{Addressing, MacedonKey};
+pub use key::{Addressing, MacedonKey, NodeKeys};
 pub use measure::{MeasureLedger, MeasureSummary};
 pub use neighbors::NeighborList;
 pub use stack::{Stack, StackEffect};

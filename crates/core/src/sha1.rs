@@ -6,6 +6,11 @@
 //! usually truncate the digest via [`sha1_u32`].
 
 /// Compute the 20-byte SHA-1 digest of `data`.
+///
+/// Allocation-free: whole 64-byte chunks are compressed straight from
+/// `data`, and the padded tail (the leftover bytes, 0x80, zeros and the
+/// 64-bit big-endian bit length) is built in one or two blocks on the
+/// stack.
 pub fn sha1(data: &[u8]) -> [u8; 20] {
     let mut h: [u32; 5] = [
         0x6745_2301,
@@ -15,48 +20,21 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
         0xC3D2_E1F0,
     ];
 
-    // Message padding: 0x80, zeros, 64-bit big-endian bit length.
-    let ml = (data.len() as u64).wrapping_mul(8);
-    let mut msg = data.to_vec();
-    msg.push(0x80);
-    while msg.len() % 64 != 56 {
-        msg.push(0);
+    let mut chunks = data.chunks_exact(64);
+    for chunk in &mut chunks {
+        compress(&mut h, chunk);
     }
-    msg.extend_from_slice(&ml.to_be_bytes());
-
-    let mut w = [0u32; 80];
-    for chunk in msg.chunks_exact(64) {
-        for (i, word) in chunk.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        h[0] = h[0].wrapping_add(a);
-        h[1] = h[1].wrapping_add(b);
-        h[2] = h[2].wrapping_add(c);
-        h[3] = h[3].wrapping_add(d);
-        h[4] = h[4].wrapping_add(e);
+    let rest = chunks.remainder();
+    let mut tail = [0u8; 128];
+    tail[..rest.len()].copy_from_slice(rest);
+    tail[rest.len()] = 0x80;
+    // The length field needs 8 bytes after the 0x80 marker; a leftover
+    // of 56 bytes or more spills the padding into a second block.
+    let tail_len = if rest.len() < 56 { 64 } else { 128 };
+    let ml = (data.len() as u64).wrapping_mul(8);
+    tail[tail_len - 8..tail_len].copy_from_slice(&ml.to_be_bytes());
+    for block in tail[..tail_len].chunks_exact(64) {
+        compress(&mut h, block);
     }
 
     let mut out = [0u8; 20];
@@ -64,6 +42,43 @@ pub fn sha1(data: &[u8]) -> [u8; 20] {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
     out
+}
+
+/// Fold one 64-byte block into the running state `h`.
+fn compress(h: &mut [u32; 5], block: &[u8]) {
+    debug_assert_eq!(block.len(), 64);
+    let mut w = [0u32; 80];
+    for (i, word) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([word[0], word[1], word[2], word[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+    let (mut a, mut b, mut c, mut d, mut e) = (h[0], h[1], h[2], h[3], h[4]);
+    for (i, &wi) in w.iter().enumerate() {
+        let (f, k) = match i {
+            0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
+            20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
+            40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
+            _ => (b ^ c ^ d, 0xCA62_C1D6),
+        };
+        let tmp = a
+            .rotate_left(5)
+            .wrapping_add(f)
+            .wrapping_add(e)
+            .wrapping_add(k)
+            .wrapping_add(wi);
+        e = d;
+        d = c;
+        c = b.rotate_left(30);
+        b = a;
+        a = tmp;
+    }
+    h[0] = h[0].wrapping_add(a);
+    h[1] = h[1].wrapping_add(b);
+    h[2] = h[2].wrapping_add(c);
+    h[3] = h[3].wrapping_add(d);
+    h[4] = h[4].wrapping_add(e);
 }
 
 /// First 4 bytes of the SHA-1 digest as a big-endian u32 — the paper's
@@ -113,15 +128,37 @@ mod tests {
 
     #[test]
     fn boundary_lengths() {
-        // 55, 56, 63, 64, 65 bytes cross padding boundaries.
-        for n in [55usize, 56, 63, 64, 65] {
-            let m = vec![0x61; n];
-            let d = sha1(&m);
-            assert_eq!(d.len(), 20);
-            // Digest must differ from neighbors (sanity).
-            let d2 = sha1(&vec![0x61; n + 1]);
-            assert_ne!(d, d2);
+        // 55/56 bytes straddle the one- vs two-block padding split,
+        // 63/64/65 the first chunk boundary, 119/120 the same split one
+        // chunk later. Digests computed independently with Python's
+        // hashlib.
+        let cases = [
+            (55, "c1c8bbdc22796e28c0e15163d20899b65621d65a"),
+            (56, "c2db330f6083854c99d4b5bfb6e8f29f201be699"),
+            (63, "03f09f5b158a7a8cdad920bddc29b81c18a551f5"),
+            (64, "0098ba824b5c16427bd7a1122a5a442a25ec644d"),
+            (65, "11655326c708d70319be2610e8a57d9a5b959d3b"),
+            (119, "ee971065aaa017e0632a8ca6c77bb3bf8b1dfc56"),
+            (120, "f34c1488385346a55709ba056ddd08280dd4c6d6"),
+        ];
+        for (n, want) in cases {
+            assert_eq!(hex(&sha1(&vec![b'a'; n])), want, "{n} x 'a'");
         }
+    }
+
+    #[test]
+    fn node_id_bytes() {
+        // Hash addressing keys a node by its 4-byte big-endian id.
+        let cases = [
+            (0u32, "9069ca78e7450a285173431b3e52c5c25299e473"),
+            (42, "25f0c736f1fad0770bbb9a265ded159517c1e68c"),
+            (1999, "4626b1df5536e483aff8adcd47334be250820a44"),
+            (0xdead_beef, "d78f8bb992a56a597f6c7a1fb918bb78271367eb"),
+        ];
+        for (id, want) in cases {
+            assert_eq!(hex(&sha1(&id.to_be_bytes())), want, "node {id}");
+        }
+        assert_eq!(sha1_u32(&42u32.to_be_bytes()), 0x25f0_c736);
     }
 
     #[test]

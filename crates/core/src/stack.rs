@@ -10,7 +10,7 @@
 
 use crate::agent::{Agent, AppHandler, Ctx, Locking, Op};
 use crate::api::{DownCall, UpCall};
-use crate::key::{Addressing, MacedonKey};
+use crate::key::{Addressing, MacedonKey, NodeKeys};
 use crate::measure::MeasureLedger;
 use crate::trace::{SpanId, TraceEvent, TraceLevel};
 use bytes::Bytes;
@@ -18,6 +18,7 @@ use macedon_net::NodeId;
 use macedon_sim::{Duration, SimRng, Time};
 use macedon_transport::ChannelId;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Cap on ops processed per external event — a runaway upcall/downcall
 /// cycle trips this instead of hanging the simulation.
@@ -65,9 +66,11 @@ pub enum StackEffect {
 pub struct Stack {
     node: NodeId,
     key: MacedonKey,
-    /// Addressing mode `key` was derived under, handed to every [`Ctx`]
-    /// so agents derive peer keys the same way the world derived `key`.
-    addressing: Addressing,
+    /// The world's node-key table (`key` was derived from it), handed
+    /// to every [`Ctx`] so agents look peer keys up the same way. A
+    /// stack built outside a world has an empty hash-addressing table,
+    /// which derives every key on the spot.
+    keys: Arc<NodeKeys>,
     agents: Vec<Box<dyn Agent>>,
     app: Box<dyn AppHandler>,
     rng: SimRng,
@@ -117,7 +120,7 @@ impl Stack {
         Stack {
             node,
             key,
-            addressing: Addressing::Hash,
+            keys: Arc::new(NodeKeys::new(Addressing::Hash, 0)),
             agents,
             app,
             rng,
@@ -146,10 +149,10 @@ impl Stack {
         self.observability = on;
     }
 
-    /// Set the addressing mode the node's key was derived under (the
-    /// world sets its configured mode here at spawn).
-    pub fn set_addressing(&mut self, mode: Addressing) {
-        self.addressing = mode;
+    /// Share the world's node-key table, which the node's key was
+    /// derived from (the world sets it here at spawn).
+    pub fn set_node_keys(&mut self, keys: Arc<NodeKeys>) {
+        self.keys = keys;
     }
 
     /// How many spans this stack has minted so far (the low 32 bits of
@@ -479,11 +482,11 @@ impl Stack {
             now,
             me: self.node,
             my_key: self.key,
-            addressing: self.addressing,
             layer,
             layers: self.agents.len(),
             rng: &mut self.rng,
             measures: &self.measures,
+            keys: &self.keys,
             ops: queue,
             locking: Locking::Write,
             trace_level: if self.observability {
@@ -511,11 +514,11 @@ impl Stack {
             now,
             me: self.node,
             my_key: self.key,
-            addressing: self.addressing,
             layer,
             layers: self.agents.len(),
             rng: &mut self.rng,
             measures: &self.measures,
+            keys: &self.keys,
             ops: queue,
             locking: Locking::Write,
             trace_level: if self.observability {

@@ -40,7 +40,7 @@
 
 use crate::agent::{Agent, AppHandler};
 use crate::api::{DownCall, ProtocolId, ENGINE_PROTOCOL};
-use crate::key::{Addressing, MacedonKey};
+use crate::key::{Addressing, MacedonKey, NodeKeys};
 use crate::measure::MeasureSummary;
 use crate::stack::{Stack, StackEffect};
 use crate::trace::{SpanId, TraceEvent, TraceLevel, TraceRecord, TraceSink};
@@ -886,6 +886,9 @@ fn shard_worker(
 pub struct World {
     cfg: Arc<WorldConfig>,
     smap: Arc<ShardMap>,
+    /// Every node's key under `cfg.addressing`, filled lazily and shared
+    /// by every stack on every shard.
+    keys: Arc<NodeKeys>,
     shards: Vec<Shard>,
     rng: SimRng,
     /// Worker threads `run_until` drives windowed execution with when
@@ -946,6 +949,7 @@ impl World {
             });
         }
         World {
+            keys: Arc::new(NodeKeys::new(cfg.addressing, num_nodes)),
             cfg,
             smap,
             shards,
@@ -991,7 +995,7 @@ impl World {
             self.shards[sid].nodes[node.index()].is_none(),
             "{node:?} already spawned"
         );
-        let key = MacedonKey::of_node(node, self.cfg.addressing);
+        let key = self.keys.key_of(node);
         let rng = self.rng.fork(node.0 as u64);
         let mut stack = Stack::new(node, key, agents, app, rng);
         if let Some(&base) = self.span_bases.get(&node) {
@@ -1000,7 +1004,7 @@ impl World {
         // Agents may skip building trace records the sink would filter
         // out anyway (Ctx::trace_on).
         stack.set_trace_level(trace_level);
-        stack.set_addressing(self.cfg.addressing);
+        stack.set_node_keys(self.keys.clone());
         // A node more verbose than the world default needs the shard
         // sink opened up; quieter nodes already self-filter at the
         // stack, so this never amplifies anyone else.
@@ -1255,7 +1259,12 @@ impl World {
 
     /// Key of a node under this world's addressing mode.
     pub fn key_of(&self, node: NodeId) -> MacedonKey {
-        MacedonKey::of_node(node, self.cfg.addressing)
+        self.keys.key_of(node)
+    }
+
+    /// The node-key table every stack of this world shares.
+    pub fn node_keys(&self) -> &Arc<NodeKeys> {
+        &self.keys
     }
 
     /// Resolve a named transport instance.

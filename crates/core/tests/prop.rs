@@ -4,8 +4,10 @@ use macedon_core::key::{
     dsl_digit, dsl_owner_of, dsl_prefix_len, dsl_ring_between, dsl_ring_dist, RING,
 };
 use macedon_core::sha1::sha1;
-use macedon_core::{Addressing, MacedonKey, NodeId, WireReader, WireWriter};
+use macedon_core::{Addressing, MacedonKey, NodeId, NodeKeys, WireReader, WireWriter};
 use proptest::prelude::*;
+use std::sync::Barrier;
+use std::thread;
 
 proptest! {
     /// Clockwise distances around the ring sum to the full circle.
@@ -122,14 +124,64 @@ proptest! {
         let list: Vec<NodeId> = ids.iter().map(|&n| NodeId(n)).collect();
         let k = MacedonKey(key);
         for mode in [Addressing::Ip, Addressing::Hash] {
-            let owner = dsl_owner_of(Some(k), &list, mode).expect("non-empty list");
+            let keys = NodeKeys::new(mode, 16);
+            let owner = dsl_owner_of(Some(k), &list, &keys).expect("non-empty list");
             prop_assert!(list.contains(&owner));
             let mut rev = list.clone();
             rev.reverse();
-            prop_assert_eq!(dsl_owner_of(Some(k), &rev, mode), Some(owner));
+            prop_assert_eq!(dsl_owner_of(Some(k), &rev, &keys), Some(owner));
             let od = k.distance_to(MacedonKey::of_node(owner, mode));
             for &n in &list {
                 prop_assert!(k.distance_to(MacedonKey::of_node(n, mode)) >= od);
+            }
+        }
+    }
+
+    /// The node-key table derives exactly `MacedonKey::of_node` for ids
+    /// inside and beyond it, on the first (filling) lookup and on every
+    /// repeated one.
+    #[test]
+    fn node_keys_match_of_node(
+        size in 0usize..64,
+        ids in proptest::collection::vec(prop_oneof![0u32..96, any::<u32>()], 1..40),
+    ) {
+        for mode in [Addressing::Ip, Addressing::Hash] {
+            let keys = NodeKeys::new(mode, size);
+            for _ in 0..3 {
+                for &id in &ids {
+                    let n = NodeId(id);
+                    prop_assert_eq!(keys.key_of(n), MacedonKey::of_node(n, mode));
+                }
+            }
+        }
+    }
+
+    /// Two threads filling the same empty table at once, in opposite
+    /// orders, both read the true key for every id, and so does a
+    /// lookup after they finish.
+    #[test]
+    fn node_keys_concurrent_fill(size in 1usize..300) {
+        for mode in [Addressing::Ip, Addressing::Hash] {
+            let keys = NodeKeys::new(mode, size);
+            let ids: Vec<NodeId> = (0..size as u32 + 8).map(NodeId).collect();
+            // Both threads start filling together.
+            let start = Barrier::new(2);
+            let (fwd, rev) = thread::scope(|s| {
+                let a = s.spawn(|| {
+                    start.wait();
+                    ids.iter().map(|&n| keys.key_of(n)).collect::<Vec<_>>()
+                });
+                let b = s.spawn(|| {
+                    start.wait();
+                    ids.iter().rev().map(|&n| keys.key_of(n)).collect::<Vec<_>>()
+                });
+                (a.join().expect("thread a"), b.join().expect("thread b"))
+            });
+            for (i, &n) in ids.iter().enumerate() {
+                let want = MacedonKey::of_node(n, mode);
+                prop_assert_eq!(fwd[i], want);
+                prop_assert_eq!(rev[ids.len() - 1 - i], want);
+                prop_assert_eq!(keys.key_of(n), want);
             }
         }
     }

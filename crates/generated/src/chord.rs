@@ -266,7 +266,7 @@ impl Chord {
             for fe_p in self.pred.clone() {
                 self.pfirst = Some(fe_p);
             }
-            if key::dsl_ring_between(Some(dest), (self.pfirst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) {
+            if key::dsl_ring_between(Some(dest), (self.pfirst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) {
                 {
                     let __src = dest;
                     let __pl = payload.clone();
@@ -274,7 +274,7 @@ impl Chord {
                 }
                 return;
             }
-            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.addressing);
+            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.node_keys());
             if (self.cand).is_none() {
                 {
                     let __src = dest;
@@ -283,17 +283,17 @@ impl Chord {
                 }
                 return;
             }
-            if (!key::dsl_ring_between(Some(dest), Some(ctx.my_key), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+            if (!key::dsl_ring_between(Some(dest), Some(ctx.my_key), (self.cand).map(|__n| ctx.key_of(__n)))) {
                 for fe_f in self.fingers.clone() {
-                    if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(dest)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_f)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(dest)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_f)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_f);
                         }
                     }
                 }
                 for fe_s in self.succs.clone() {
-                    if key::dsl_ring_between((Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(dest)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_s)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(dest)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_s)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_s);
                         }
                     }
@@ -345,7 +345,7 @@ impl Chord {
             if (self.pfirst == m.origin) {
                 self.pfirst = None::<NodeId>;
             }
-            if key::dsl_ring_between(Some(m.target), (self.pfirst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) {
+            if key::dsl_ring_between(Some(m.target), (self.pfirst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) {
                 {
                     let __dest = m.origin;
                     let __a0 = m.target;
@@ -367,7 +367,7 @@ impl Chord {
                     if (self.cand).is_none() {
                         self.cand = Some(fe_s);
                     } else {
-                        if key::dsl_ring_between((Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                        if key::dsl_ring_between((Some(fe_s)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (self.cand).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_s);
                         }
                     }
@@ -389,7 +389,7 @@ impl Chord {
                 }
                 return;
             }
-            if key::dsl_ring_between(Some(m.target), Some(ctx.my_key), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+            if key::dsl_ring_between(Some(m.target), Some(ctx.my_key), (self.cand).map(|__n| ctx.key_of(__n))) {
                 {
                     let __dest = m.origin;
                     let __a0 = m.target;
@@ -423,8 +423,8 @@ impl Chord {
             }
             for fe_f in self.fingers.clone() {
                 if (!(Some(fe_f) == m.origin)) {
-                    if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(m.target)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_f)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(m.target)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_f)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_f);
                         }
                     }
@@ -432,8 +432,8 @@ impl Chord {
             }
             for fe_s in self.succs.clone() {
                 if (!(Some(fe_s) == m.origin)) {
-                    if key::dsl_ring_between((Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(m.target)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_s)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(m.target)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_s)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_s);
                         }
                     }
@@ -517,7 +517,7 @@ impl Chord {
             }
             for fe_f in self.fingers.clone() {
                 if (!(Some(fe_f) == m.succ)) {
-                    if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.target), (m.succ).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_f)).map(|__n| ctx.key_of(__n)), Some(m.target), (m.succ).map(|__n| ctx.key_of(__n))) {
                         if let Some(__n) = Some(fe_f) {
                             self.fingers.retain(|&__x| __x != __n);
                         } else { ctx.trace(TraceLevel::Low, "chord: runtime error: null where a value is required"); return; }
@@ -599,12 +599,12 @@ impl Chord {
                         if (self.worst).is_none() {
                             self.worst = Some(fe_s);
                         } else {
-                            if key::dsl_ring_between((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                            if key::dsl_ring_between((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_s)).map(|__n| ctx.key_of(__n))) {
                                 self.worst = Some(fe_s);
                             }
                         }
                     }
-                    if key::dsl_ring_between((Some(from)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(from)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (self.worst).map(|__n| ctx.key_of(__n))) {
                         if let Some(__n) = self.worst {
                             self.succs.retain(|&__x| __x != __n);
                             ctx.unmonitor(__n);
@@ -634,12 +634,12 @@ impl Chord {
                                 if (self.worst).is_none() {
                                     self.worst = Some(fe_s);
                                 } else {
-                                    if key::dsl_ring_between((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                                    if key::dsl_ring_between((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_s)).map(|__n| ctx.key_of(__n))) {
                                         self.worst = Some(fe_s);
                                     }
                                 }
                             }
-                            if key::dsl_ring_between((m.pred).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                            if key::dsl_ring_between((m.pred).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (self.worst).map(|__n| ctx.key_of(__n))) {
                                 if let Some(__n) = self.worst {
                                     self.succs.retain(|&__x| __x != __n);
                                     ctx.unmonitor(__n);
@@ -655,7 +655,7 @@ impl Chord {
                     }
                 }
             }
-            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.addressing);
+            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.node_keys());
             if (!(self.cand).is_none()) {
                 {
                     let __dest = self.cand;
@@ -702,7 +702,7 @@ impl Chord {
         if (self.pfirst == m.who) {
             return;
         }
-        if key::dsl_ring_between((m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (self.pfirst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) {
+        if key::dsl_ring_between((m.who).map(|__n| ctx.key_of(__n)), (self.pfirst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) {
             if let Some(__n) = self.pfirst {
                 self.pred.retain(|&__x| __x != __n);
                 ctx.unmonitor(__n);
@@ -743,7 +743,7 @@ impl Chord {
             for fe_p in self.pred.clone() {
                 self.pfirst = Some(fe_p);
             }
-            if key::dsl_ring_between(Some(m.dst), (self.pfirst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) {
+            if key::dsl_ring_between(Some(m.dst), (self.pfirst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) {
                 {
                     let __src = m.dst;
                     let __pl = m.body.clone();
@@ -759,7 +759,7 @@ impl Chord {
                 }
                 return;
             }
-            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.addressing);
+            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.node_keys());
             if (self.cand).is_none() {
                 {
                     let __src = m.dst;
@@ -768,17 +768,17 @@ impl Chord {
                 }
                 return;
             }
-            if (!key::dsl_ring_between(Some(m.dst), Some(ctx.my_key), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+            if (!key::dsl_ring_between(Some(m.dst), Some(ctx.my_key), (self.cand).map(|__n| ctx.key_of(__n)))) {
                 for fe_f in self.fingers.clone() {
-                    if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(m.dst)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_f)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(m.dst)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_f)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_f);
                         }
                     }
                 }
                 for fe_s in self.succs.clone() {
-                    if key::dsl_ring_between((Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(m.dst)) {
-                        if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_s)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                    if key::dsl_ring_between((Some(fe_s)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(m.dst)) {
+                        if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_s)).map(|__n| ctx.key_of(__n))) {
                             self.cand = Some(fe_s);
                         }
                     }
@@ -823,7 +823,7 @@ impl Chord {
     fn t_timer_stabilize(&mut self, ctx: &mut Ctx) {
         if self.state == ChordState::Joined {
             self.transitions_fired += 1;
-            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.addressing);
+            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.node_keys());
             if (!(self.cand).is_none()) {
                 {
                     let __dest = self.cand;
@@ -848,12 +848,12 @@ impl Chord {
             if (self.finger_step > FINGER_MAX) {
                 self.finger_step = (1i64);
             }
-            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.addressing);
+            self.cand = key::dsl_owner_of(Some(ctx.my_key), &self.succs, ctx.node_keys());
             if (!(self.cand).is_none()) {
-                if (!key::dsl_ring_between(Some(self.finger_target), Some(ctx.my_key), (self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                if (!key::dsl_ring_between(Some(self.finger_target), Some(ctx.my_key), (self.cand).map(|__n| ctx.key_of(__n)))) {
                     for fe_f in self.fingers.clone() {
-                        if key::dsl_ring_between((Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), Some(self.finger_target)) {
-                            if key::dsl_ring_between((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key), (Some(fe_f)).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) {
+                        if key::dsl_ring_between((Some(fe_f)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), Some(self.finger_target)) {
+                            if key::dsl_ring_between((self.cand).map(|__n| ctx.key_of(__n)), Some(ctx.my_key), (Some(fe_f)).map(|__n| ctx.key_of(__n))) {
                                 self.cand = Some(fe_f);
                             }
                         }

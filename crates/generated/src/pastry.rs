@@ -256,22 +256,22 @@ impl Pastry {
             self.plen = key::dsl_prefix_len(Some(ctx.my_key), Some(dest));
             self.cand = None::<NodeId>;
             for fe_r in self.rows.clone() {
-                if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) > self.plen) {
+                if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(dest)) > self.plen) {
                     if (self.cand).is_none() {
                         self.cand = Some(fe_r);
                     } else {
-                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest))) {
+                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(dest)) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), Some(dest))) {
                             self.cand = Some(fe_r);
                         }
                     }
                 }
             }
             for fe_l in self.leaves.clone() {
-                if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) > self.plen) {
+                if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(dest)) > self.plen) {
                     if (self.cand).is_none() {
                         self.cand = Some(fe_l);
                     } else {
-                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest))) {
+                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(dest)) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), Some(dest))) {
                             self.cand = Some(fe_l);
                         }
                     }
@@ -279,12 +279,12 @@ impl Pastry {
             }
             if (self.cand).is_none() {
                 for fe_r in self.rows.clone() {
-                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) >= self.plen) {
-                        if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) < key::dsl_ring_dist(Some(ctx.my_key), Some(dest))) {
+                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(dest)) >= self.plen) {
+                        if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(dest)) < key::dsl_ring_dist(Some(ctx.my_key), Some(dest))) {
                             if (self.cand).is_none() {
                                 self.cand = Some(fe_r);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest))) {
+                                if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(dest)) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), Some(dest))) {
                                     self.cand = Some(fe_r);
                                 }
                             }
@@ -292,12 +292,12 @@ impl Pastry {
                     }
                 }
                 for fe_l in self.leaves.clone() {
-                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) >= self.plen) {
-                        if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) < key::dsl_ring_dist(Some(ctx.my_key), Some(dest))) {
+                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(dest)) >= self.plen) {
+                        if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(dest)) < key::dsl_ring_dist(Some(ctx.my_key), Some(dest))) {
                             if (self.cand).is_none() {
                                 self.cand = Some(fe_l);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest)) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(dest))) {
+                                if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(dest)) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), Some(dest))) {
                                     self.cand = Some(fe_l);
                                 }
                             }
@@ -369,15 +369,15 @@ impl Pastry {
                     ctx.send(__d, ChannelId(0), __bytes);
                 }
             }
-            self.plen = key::dsl_prefix_len(Some(ctx.my_key), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)));
+            self.plen = key::dsl_prefix_len(Some(ctx.my_key), (m.who).map(|__n| ctx.key_of(__n)));
             self.cand = None::<NodeId>;
             for fe_r in self.rows.clone() {
                 if (!(Some(fe_r) == m.who)) {
-                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) > self.plen) {
+                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) > self.plen) {
                         if (self.cand).is_none() {
                             self.cand = Some(fe_r);
                         } else {
-                            if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                            if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n)))) {
                                 self.cand = Some(fe_r);
                             }
                         }
@@ -386,11 +386,11 @@ impl Pastry {
             }
             for fe_l in self.leaves.clone() {
                 if (!(Some(fe_l) == m.who)) {
-                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) > self.plen) {
+                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) > self.plen) {
                         if (self.cand).is_none() {
                             self.cand = Some(fe_l);
                         } else {
-                            if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                            if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n)))) {
                                 self.cand = Some(fe_l);
                             }
                         }
@@ -400,12 +400,12 @@ impl Pastry {
             if (self.cand).is_none() {
                 for fe_r in self.rows.clone() {
                     if (!(Some(fe_r) == m.who)) {
-                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) >= self.plen) {
-                            if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) < key::dsl_ring_dist(Some(ctx.my_key), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) >= self.plen) {
+                            if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) < key::dsl_ring_dist(Some(ctx.my_key), (m.who).map(|__n| ctx.key_of(__n)))) {
                                 if (self.cand).is_none() {
                                     self.cand = Some(fe_r);
                                 } else {
-                                    if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                                    if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n)))) {
                                         self.cand = Some(fe_r);
                                     }
                                 }
@@ -415,12 +415,12 @@ impl Pastry {
                 }
                 for fe_l in self.leaves.clone() {
                     if (!(Some(fe_l) == m.who)) {
-                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) >= self.plen) {
-                            if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) < key::dsl_ring_dist(Some(ctx.my_key), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) >= self.plen) {
+                            if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) < key::dsl_ring_dist(Some(ctx.my_key), (m.who).map(|__n| ctx.key_of(__n)))) {
                                 if (self.cand).is_none() {
                                     self.cand = Some(fe_l);
                                 } else {
-                                    if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing))) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), (m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)))) {
+                                    if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n))) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), (m.who).map(|__n| ctx.key_of(__n)))) {
                                         self.cand = Some(fe_l);
                                     }
                                 }
@@ -448,12 +448,12 @@ impl Pastry {
                         if (self.worst).is_none() {
                             self.worst = Some(fe_w);
                         } else {
-                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                                 self.worst = Some(fe_w);
                             }
                         }
                     }
-                    if (key::dsl_ring_dist((m.who).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                    if (key::dsl_ring_dist((m.who).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                         if let Some(__n) = self.worst {
                             self.leaves.retain(|&__x| __x != __n);
                             ctx.unmonitor(__n);
@@ -553,12 +553,12 @@ impl Pastry {
                             if (self.worst).is_none() {
                                 self.worst = Some(fe_w);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_w)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                                if (key::dsl_ring_dist((Some(fe_w)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                                     self.worst = Some(fe_w);
                                 }
                             }
                         }
-                        if (key::dsl_ring_dist((Some(fe_c)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                        if (key::dsl_ring_dist((Some(fe_c)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                             if let Some(__n) = self.worst {
                                 self.leaves.retain(|&__x| __x != __n);
                                 ctx.unmonitor(__n);
@@ -592,12 +592,12 @@ impl Pastry {
                         if (self.worst).is_none() {
                             self.worst = Some(fe_w);
                         } else {
-                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                                 self.worst = Some(fe_w);
                             }
                         }
                     }
-                    if (key::dsl_ring_dist((Some(from)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                    if (key::dsl_ring_dist((Some(from)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                         if let Some(__n) = self.worst {
                             self.leaves.retain(|&__x| __x != __n);
                             ctx.unmonitor(__n);
@@ -668,12 +668,12 @@ impl Pastry {
                             if (self.worst).is_none() {
                                 self.worst = Some(fe_w);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_w)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                                if (key::dsl_ring_dist((Some(fe_w)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                                     self.worst = Some(fe_w);
                                 }
                             }
                         }
-                        if (key::dsl_ring_dist((Some(fe_c)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                        if (key::dsl_ring_dist((Some(fe_c)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                             if let Some(__n) = self.worst {
                                 self.leaves.retain(|&__x| __x != __n);
                                 ctx.unmonitor(__n);
@@ -707,12 +707,12 @@ impl Pastry {
                         if (self.worst).is_none() {
                             self.worst = Some(fe_w);
                         } else {
-                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                            if (key::dsl_ring_dist((Some(fe_w)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) > key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                                 self.worst = Some(fe_w);
                             }
                         }
                     }
-                    if (key::dsl_ring_dist((Some(from)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(ctx.my_key))) {
+                    if (key::dsl_ring_dist((Some(from)).map(|__n| ctx.key_of(__n)), Some(ctx.my_key)) < key::dsl_ring_dist((self.worst).map(|__n| ctx.key_of(__n)), Some(ctx.my_key))) {
                         if let Some(__n) = self.worst {
                             self.leaves.retain(|&__x| __x != __n);
                             ctx.unmonitor(__n);
@@ -816,22 +816,22 @@ impl Pastry {
             self.plen = key::dsl_prefix_len(Some(ctx.my_key), Some(m.dst));
             self.cand = None::<NodeId>;
             for fe_r in self.rows.clone() {
-                if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) > self.plen) {
+                if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(m.dst)) > self.plen) {
                     if (self.cand).is_none() {
                         self.cand = Some(fe_r);
                     } else {
-                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst))) {
+                        if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(m.dst)) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), Some(m.dst))) {
                             self.cand = Some(fe_r);
                         }
                     }
                 }
             }
             for fe_l in self.leaves.clone() {
-                if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) > self.plen) {
+                if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(m.dst)) > self.plen) {
                     if (self.cand).is_none() {
                         self.cand = Some(fe_l);
                     } else {
-                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) > key::dsl_prefix_len((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst))) {
+                        if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(m.dst)) > key::dsl_prefix_len((self.cand).map(|__n| ctx.key_of(__n)), Some(m.dst))) {
                             self.cand = Some(fe_l);
                         }
                     }
@@ -839,12 +839,12 @@ impl Pastry {
             }
             if (self.cand).is_none() {
                 for fe_r in self.rows.clone() {
-                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) >= self.plen) {
-                        if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) < key::dsl_ring_dist(Some(ctx.my_key), Some(m.dst))) {
+                    if (key::dsl_prefix_len((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(m.dst)) >= self.plen) {
+                        if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(m.dst)) < key::dsl_ring_dist(Some(ctx.my_key), Some(m.dst))) {
                             if (self.cand).is_none() {
                                 self.cand = Some(fe_r);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_r)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst))) {
+                                if (key::dsl_ring_dist((Some(fe_r)).map(|__n| ctx.key_of(__n)), Some(m.dst)) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), Some(m.dst))) {
                                     self.cand = Some(fe_r);
                                 }
                             }
@@ -852,12 +852,12 @@ impl Pastry {
                     }
                 }
                 for fe_l in self.leaves.clone() {
-                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) >= self.plen) {
-                        if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) < key::dsl_ring_dist(Some(ctx.my_key), Some(m.dst))) {
+                    if (key::dsl_prefix_len((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(m.dst)) >= self.plen) {
+                        if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(m.dst)) < key::dsl_ring_dist(Some(ctx.my_key), Some(m.dst))) {
                             if (self.cand).is_none() {
                                 self.cand = Some(fe_l);
                             } else {
-                                if (key::dsl_ring_dist((Some(fe_l)).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst)) < key::dsl_ring_dist((self.cand).map(|__n| MacedonKey::of_node(__n, ctx.addressing)), Some(m.dst))) {
+                                if (key::dsl_ring_dist((Some(fe_l)).map(|__n| ctx.key_of(__n)), Some(m.dst)) < key::dsl_ring_dist((self.cand).map(|__n| ctx.key_of(__n)), Some(m.dst))) {
                                     self.cand = Some(fe_l);
                                 }
                             }

@@ -413,7 +413,7 @@ impl<'a> Gen<'a> {
                 self.known_list(l)?;
                 (
                     format!(
-                        "key::dsl_owner_of({}, &self.{l}, ctx.addressing)",
+                        "key::dsl_owner_of({}, &self.{l}, ctx.node_keys())",
                         self.key_opt(cx, k)?
                     ),
                     Ty::Node,
@@ -427,15 +427,13 @@ impl<'a> Gen<'a> {
 
     /// Render as an `Option<MacedonKey>`, the key builtins' operand
     /// coercion (the interpreter's `Value::as_key_opt`): keys pass
-    /// through, nodes hash under the world's addressing mode, ints
-    /// truncate onto the ring, null stays null.
+    /// through, nodes map through the world's key table, ints truncate
+    /// onto the ring, null stays null.
     fn key_opt(&self, cx: &Cx, e: &Expr) -> Result<String, CodegenError> {
         let (s, ty) = self.expr(cx, e)?;
         match ty {
             Ty::Key => Ok(format!("Some({s})")),
-            Ty::Node => Ok(format!(
-                "({s}).map(|__n| MacedonKey::of_node(__n, ctx.addressing))"
-            )),
+            Ty::Node => Ok(format!("({s}).map(|__n| ctx.key_of(__n))")),
             Ty::Int => Ok(format!("Some(MacedonKey(({s}) as u32))")),
             Ty::Null => Ok(format!("{{ let _ = {s}; None::<MacedonKey> }}")),
             other => Err(self.err(format!("expected key, got {other:?} ({s})"))),
@@ -2496,6 +2494,26 @@ mod tests {
         assert!(lib.contains("pub mod overcast;"));
         assert!(lib.contains("\"splitstream\" => vec!["));
         assert!(lib.contains("scribe::Scribe::new(bootstrap)"));
+    }
+
+    #[test]
+    fn bundled_agents_look_node_keys_up_instead_of_hashing() {
+        let files = generate_bundled_crate().unwrap();
+        for (name, code) in &files {
+            assert!(
+                !code.contains("MacedonKey::of_node("),
+                "{name} rehashes keys"
+            );
+            assert!(
+                !code.contains("ctx.addressing"),
+                "{name} reads ctx.addressing"
+            );
+        }
+        // The key builtins still reach the table in the ring specs.
+        let (_, pastry) = files.iter().find(|(n, _)| n == "pastry.rs").unwrap();
+        assert!(pastry.contains("ctx.key_of(__n)"));
+        let (_, chord) = files.iter().find(|(n, _)| n == "chord.rs").unwrap();
+        assert!(chord.contains("ctx.node_keys())"));
     }
 
     #[test]

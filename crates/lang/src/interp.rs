@@ -54,9 +54,8 @@ use crate::ir::{ApiArgKind, ApiKind, FieldKind, IrDown, IrExpr, IrMessage, IrSpe
 use macedon_core::key;
 use macedon_core::wire::{read_tunnel_ref, WireRef};
 use macedon_core::{
-    Addressing, Agent, Bytes, ChannelId, ChannelSpec, Ctx, DownCall, Duration, ForwardInfo,
-    MacedonKey, NodeId, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter,
-    DEFAULT_PRIORITY,
+    Agent, Bytes, ChannelId, ChannelSpec, Ctx, DownCall, Duration, ForwardInfo, MacedonKey, NodeId,
+    NodeKeys, ProtocolId, TraceLevel, TransportKind, UpCall, WireWriter, DEFAULT_PRIORITY,
 };
 use std::any::Any;
 use std::collections::VecDeque;
@@ -111,12 +110,12 @@ impl Value {
 
     /// Coerce to an optional key, the way every key-typed position does
     /// (message key fields, `route` destinations, the key builtins):
-    /// keys pass through, nodes hash under the world's addressing mode,
-    /// ints truncate onto the ring, null stays null.
-    fn as_key_opt(&self, mode: Addressing) -> Result<Option<MacedonKey>, String> {
+    /// keys pass through, nodes map through the world's key table, ints
+    /// truncate onto the ring, null stays null.
+    fn as_key_opt(&self, keys: &NodeKeys) -> Result<Option<MacedonKey>, String> {
         match self {
             Value::Key(k) => Ok(Some(*k)),
-            Value::Node(n) => Ok(Some(MacedonKey::of_node(*n, mode))),
+            Value::Node(n) => Ok(Some(keys.key_of(*n))),
             Value::Int(v) => Ok(Some(MacedonKey(*v as u32))),
             Value::Null => Ok(None),
             other => Err(format!("expected key, got {other:?}")),
@@ -907,30 +906,30 @@ impl Core {
                 other => return Err(format!("goodput(..) needs a node, got {other:?}")),
             },
             IrExpr::RingDist(a, b) => {
-                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.addressing)?;
-                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.addressing)?;
+                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.node_keys())?;
+                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.node_keys())?;
                 Value::Int(key::dsl_ring_dist(a, b))
             }
             IrExpr::RingBetween(x, lo, hi) => {
-                let x = self.eval(ctx, frame, x)?.as_key_opt(ctx.addressing)?;
-                let lo = self.eval(ctx, frame, lo)?.as_key_opt(ctx.addressing)?;
-                let hi = self.eval(ctx, frame, hi)?.as_key_opt(ctx.addressing)?;
+                let x = self.eval(ctx, frame, x)?.as_key_opt(ctx.node_keys())?;
+                let lo = self.eval(ctx, frame, lo)?.as_key_opt(ctx.node_keys())?;
+                let hi = self.eval(ctx, frame, hi)?.as_key_opt(ctx.node_keys())?;
                 Value::Bool(key::dsl_ring_between(x, lo, hi))
             }
             IrExpr::Digit(k, i, base) => {
-                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.addressing)?;
+                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.node_keys())?;
                 let i = self.eval(ctx, frame, i)?.as_int()?;
                 let base = self.eval(ctx, frame, base)?.as_int()?;
                 Value::Int(key::dsl_digit(k, i, base))
             }
             IrExpr::PrefixLen(a, b) => {
-                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.addressing)?;
-                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.addressing)?;
+                let a = self.eval(ctx, frame, a)?.as_key_opt(ctx.node_keys())?;
+                let b = self.eval(ctx, frame, b)?.as_key_opt(ctx.node_keys())?;
                 Value::Int(key::dsl_prefix_len(a, b))
             }
             IrExpr::OwnerOf(k, slot) => {
-                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.addressing)?;
-                match key::dsl_owner_of(k, &self.lists[*slot as usize], ctx.addressing) {
+                let k = self.eval(ctx, frame, k)?.as_key_opt(ctx.node_keys())?;
+                match key::dsl_owner_of(k, &self.lists[*slot as usize], ctx.node_keys()) {
                     Some(n) => Value::Node(n),
                     None => Value::Null,
                 }
@@ -1276,7 +1275,7 @@ impl Agent for InterpretedAgent {
 mod tests {
     use super::*;
     use crate::compile;
-    use macedon_core::{NullApp, Time, World, WorldConfig};
+    use macedon_core::{Addressing, NullApp, Time, World, WorldConfig};
     use macedon_net::topology::{canned, LinkSpec};
 
     /// A toy protocol: everyone joins a star around the bootstrap.

@@ -29,9 +29,10 @@
 //!   numerically closest to the group key).
 
 use macedon_core::key::dsl_owner_of;
-use macedon_core::{Addressing, MacedonKey, NodeId, Stack, Time};
+use macedon_core::{MacedonKey, NodeId, NodeKeys, Stack, Time};
 use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// One protocol layer of one node, as an oracle sees it: the FSM state
 /// and the neighbor lists by name. Built by the [`StateProbe`].
@@ -75,13 +76,14 @@ impl NodeSnapshot {
 #[derive(Clone, Debug)]
 pub struct Snapshot {
     pub at: Time,
-    pub addressing: Addressing,
+    /// The world's node-key table, which every key here comes from.
+    pub keys: Arc<NodeKeys>,
     pub nodes: Vec<NodeSnapshot>,
 }
 
 impl Snapshot {
     fn key_of(&self, n: NodeId) -> MacedonKey {
-        MacedonKey::of_node(n, self.addressing)
+        self.keys.key_of(n)
     }
 
     fn is_alive(&self, n: NodeId) -> bool {
@@ -223,7 +225,7 @@ impl ConvergenceOracle for ChordOracle {
                 continue; // singleton ring is vacuously correct
             };
             let succs = layer.list("succs");
-            let actual = dsl_owner_of(Some(n.key), succs, snap.addressing);
+            let actual = dsl_owner_of(Some(n.key), succs, &snap.keys);
             if actual != Some(exp.node) {
                 out.push(Violation {
                     index: n.index,
@@ -540,6 +542,7 @@ impl ConvergenceOracle for ScribeTreeOracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use macedon_core::Addressing;
 
     fn view(protocol: &str, state: &str, lists: &[(&str, &[u32])]) -> AgentView {
         AgentView {
@@ -556,7 +559,7 @@ mod tests {
     fn snap(nodes: Vec<(u32, bool, Vec<AgentView>)>) -> Snapshot {
         Snapshot {
             at: Time::ZERO,
-            addressing: Addressing::Ip,
+            keys: Arc::new(NodeKeys::new(Addressing::Ip, 0)),
             nodes: nodes
                 .into_iter()
                 .enumerate()

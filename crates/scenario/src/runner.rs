@@ -198,7 +198,6 @@ impl<'a> ScenarioRunner<'a> {
 
     /// Freeze the oracle-visible world state at `at`.
     fn snapshot(&self, at: Time) -> Snapshot {
-        let addressing = self.world.config().addressing;
         let nodes = (0..self.scenario.nodes)
             .map(|index| {
                 let host = self.hosts[index];
@@ -218,7 +217,7 @@ impl<'a> ScenarioRunner<'a> {
             .collect();
         Snapshot {
             at,
-            addressing,
+            keys: self.world.node_keys().clone(),
             nodes,
         }
     }
